@@ -3,7 +3,8 @@
 Everything here is written as plain Python over numpy arrays with explicit
 loops, then compiled with numba at import time. Setting PEBBLE_PURE_PYTHON=1
 in the environment skips compilation and runs the identical source
-interpreted; benchmarks/bench_kernels.py compares the two backends.
+interpreted. perfbench/README.md describes the benchmark, which records the
+backend in effect with every run.
 
 Weights are kept integral throughout: with maxd the graph diameter,
 W[v, a] = 2**(maxd - dist(v, a)), so "weight(c, a) >= need" comparisons are
@@ -12,6 +13,14 @@ approaches overflow.
 
 Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
 -1 budget refused.
+
+The entry points take one target's state as a single tuple, built once per
+target by exact._TargetContext:
+(target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
+ gorders, gparents, groots, ef, et, n, wint, cycpos, base,
+ memo_keys, memo_stamps, epoch, memo_used).
+memo_used counts the memo entries stored under this target's epoch, over
+every scan and decision, so the load guard in _memo_add sees them all.
 """
 from __future__ import annotations
 
@@ -42,25 +51,6 @@ REFUSED = -1
 # wrapped int64 math (numba) and unbounded ints (pure python) after masking
 _HASH_C = 0x27BB2EE687B0B0FD
 _MASK63 = (1 << 63) - 1
-
-
-@_maybe_jit
-def tree_deliver_max(torder, tparent, troot, c):
-    """Max pebbles deliverable to troot on a tree by greedy upward folding.
-
-    torder lists vertices by decreasing depth (root last). Exact on trees:
-    flows on bridges never pay to cross both ways, so folding toward the root
-    loses nothing.
-    """
-    n = c.shape[0]
-    carry = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        v = torder[i]
-        if v == troot:
-            return c[v] + carry[v]
-        p = tparent[v]
-        carry[p] += (c[v] + carry[v]) // 2
-    return np.int64(0)
 
 
 @_maybe_jit
@@ -278,34 +268,13 @@ def dfs_decide(
 
 
 @_maybe_jit
-def _decide_solvable(
-    counts,
-    kind,
-    n,
-    target,
-    anchors,
-    wint,
-    tneed,
-    captab,
-    torder,
-    tparent,
-    troot,
-    gorders,
-    gparents,
-    groots,
-    cycpos,
-    ef,
-    et,
-    base,
-    memo_keys,
-    memo_stamps,
-    epoch,
-    memo_used,
-    dfs_box,
-):
+def _decide_solvable(counts, kind, record, dfs_box):
     """1 if counts covers target, 0 if not, -1 refused. Exact for every kind:
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
+    (target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
+     gorders, gparents, groots, ef, et, n, wint, cycpos, base,
+     memo_keys, memo_stamps, epoch, memo_used) = record
     if kind == 1:
         return tree_multi_feasible(torder, tparent, troot, counts, target)
     if kind == 2:
@@ -341,34 +310,7 @@ def _decide_solvable(
 
 
 @_maybe_jit
-def witness_scan(
-    n,
-    kind,
-    target,
-    anchors,
-    wint,
-    tneed,
-    captab,
-    order,
-    bestw,
-    torder,
-    tparent,
-    troot,
-    gorders,
-    gparents,
-    groots,
-    cycpos,
-    ef,
-    et,
-    s,
-    base,
-    memo_keys,
-    memo_stamps,
-    epoch,
-    scan_budget,
-    dfs_budget,
-    witness_out,
-):
+def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
     """Search for an unsolvable distribution of size exactly s.
 
     Enumerates weak compositions of s over the vertices in `order` (far from
@@ -380,7 +322,9 @@ def witness_scan(
     Returns (code, scan_nodes, dfs_nodes_used); the witness, when found, is
     written to witness_out.
     """
-    memo_used = np.zeros(1, dtype=np.int64)
+    (target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
+     gorders, gparents, groots, ef, et, n, wint, cycpos, base,
+     memo_keys, memo_stamps, epoch, memo_used) = record
     dfs_box = np.zeros(1, dtype=np.int64)
     dfs_box[0] = dfs_budget
     counts = np.zeros(n, dtype=np.int64)
@@ -400,11 +344,7 @@ def witness_scan(
             nodes += 1
             if nodes > scan_budget:
                 return REFUSED, nodes, dfs_budget - dfs_box[0]
-            code = _decide_solvable(
-                counts, kind, n, target, anchors, wint, tneed, captab,
-                torder, tparent, troot, gorders, gparents, groots, cycpos,
-                ef, et, base, memo_keys, memo_stamps, epoch, memo_used, dfs_box,
-            )
+            code = _decide_solvable(counts, kind, record, dfs_box)
             if code == NONE:
                 for x in range(n):
                     witness_out[x] = counts[x]
@@ -441,11 +381,7 @@ def witness_scan(
         if emitted:
             return FOUND, nodes, dfs_budget - dfs_box[0]
         # a solvable prefix only gets more solvable as the tail is filled in
-        code = _decide_solvable(
-            counts, kind, n, target, anchors, wint, tneed, captab,
-            torder, tparent, troot, gorders, gparents, groots, cycpos,
-            ef, et, base, memo_keys, memo_stamps, epoch, memo_used, dfs_box,
-        )
+        code = _decide_solvable(counts, kind, record, dfs_box)
         if code == REFUSED:
             return REFUSED, nodes, dfs_budget - dfs_box[0]
         if code == FOUND:

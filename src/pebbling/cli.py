@@ -15,9 +15,9 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import construct
@@ -65,8 +65,6 @@ EXIT_REFUSAL = 2
 EXIT_USAGE = 3
 
 STATS = ("pi", "pi_t", "pi_rooted", "pi_star", "pi_arb", "pi_hat", "pi_hat_star")
-SUITES = ("trees", "cycles", "radius", "diam2", "targets", "fracopt")
-CONJECTURES = ("diamconj", "weakdiam", "targets", "gnd")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,15 +123,6 @@ def _clean(value):
     return value
 
 
-def _run_tasks(tasks, jobs: int) -> list[dict]:
-    if jobs > 1:
-        # Rows come back in task order regardless of completion order, so
-        # reports are schedule-independent.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
-
-
 def _task(base: dict, fn):
     def run() -> dict:
         row = dict(base)
@@ -148,391 +137,287 @@ def _task(base: dict, fn):
     return run
 
 
-# -- verification suites ------------------------------------------------
+# -- sweeps ----------------------------------------------------------------
 
 
-def _suite_trees(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "trees_up_to_8", max_n=max_n
-    )
-    tasks = []
-    for g in graphs:
-        if g.n < 2 or g.n > max_n:
-            continue
-        gid = serialize_graph6(g)
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": diameter(g), "t": t}
+class _Values:
+    """One sweep's exact values by (stat, graph6, t, root), so rows that ask
+    for the same value share one computation. A refusal raises through
+    without being stored, so a later row retries it."""
 
-            def check(g=g, t=t):
-                formula = tree_pebbling_formula(maximal_path_partition(g), t)
-                brute = pebbling_number(g, t, budget).value
-                roots_ok = all(
-                    tree_pebbling_formula(maximal_path_partition(g, r), t)
-                    == rooted_pebbling_number(g, r, t, budget).value
-                    for r in range(g.n)
-                )
-                ok = formula == brute and roots_ok
-                return {
-                    "formula": formula,
-                    "brute": brute,
-                    "roots_match": roots_ok,
-                    "status": "pass" if ok else "fail",
-                }
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self.known: dict = {}
 
-            tasks.append(_task(base, check))
-    return tasks
+    def __call__(self, stat, g: Graph, t: int, r: int | None = None) -> int:
+        key = (stat, serialize_graph6(g), t, r)
+        if key not in self.known:
+            args = (g, t) if r is None else (g, r, t)
+            self.known[key] = stat(*args, self.budget).value
+        return self.known[key]
 
 
-def _suite_cycles(max_n, max_t, catalog, budget):
-    tasks = []
-    for n in range(3, max_n + 1):
-        g = make_family("cycle", n)
-        for t in range(1, max_t + 1):
-            base = {"graph": f"cycle:{n}", "n": n, "diameter": n // 2, "t": t}
+def _catalog(name: str, min_n: int = 0, diam: int | None = None):
+    """Instances from --catalog, else from the named bundled catalog, of
+    order min_n..max_n and, when diam is given, of that diameter."""
 
-            def check(g=g, n=n, t=t):
-                formula = cycle_pebbling_formula(n, t)
-                brute = pebbling_number(g, t, budget).value
-                return {
-                    "formula": formula,
-                    "brute": brute,
-                    "status": "pass" if formula == brute else "fail",
-                }
+    def instances(max_n, catalog):
+        graphs = catalog if catalog is not None else load_catalog(name, max_n=max_n)
+        return [
+            (serialize_graph6(g), g)
+            for g in graphs
+            if min_n <= g.n <= max_n and (diam is None or diameter(g) == diam)
+        ]
 
-            tasks.append(_task(base, check))
-    return tasks
+    return instances
 
 
-def _suite_radius(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
-    )
-    tasks = []
-    for g in graphs:
-        if g.n < 2 or g.n > max_n:
-            continue
-        gid = serialize_graph6(g)
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": diameter(g), "t": t}
-
-            def check(g=g, t=t):
-                # Eccentricity and rooted value are orbit-invariant; one
-                # representative per orbit covers every root.
-                worst = None
-                ok = True
-                for orbit in vertex_orbits(g):
-                    r = orbit[0]
-                    ecc = int(g.distances[r].max())
-                    bound = radius_bound(g.n, ecc, t)
-                    value = rooted_pebbling_number(g, r, t, budget).value
-                    slack = bound - value
-                    if value > bound:
-                        ok = False
-                    if worst is None or slack < worst:
-                        worst = slack
-                return {
-                    "min_slack": worst,
-                    "status": "pass" if ok else "fail",
-                }
-
-            tasks.append(_task(base, check))
-    return tasks
+def _family(name: str, k: int) -> tuple[str, Graph]:
+    return f"{name}:{k}", make_family(name, k)
 
 
-def _suite_diam2(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
-    )
-    tasks = []
-    for g in graphs:
-        if g.n > max_n or g.n < 2 or diameter(g) != 2:
-            continue
-        gid = serialize_graph6(g)
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": 2, "t": t}
-
-            def check(g=g, t=t):
-                pi_1 = pebbling_number(g, 1, budget).value
-                pi_t = pebbling_number(g, t, budget).value
-                reports = [
-                    rep.with_exact(pi_t) for rep in diam2_bounds(g.n, pi_1, t)
-                ]
-                ok = all(rep.slack >= 0 for rep in reports)
-                row = {rep.bound: rep.value for rep in reports}
-                row["pi_t"] = pi_t
-                row["slack"] = min(rep.slack for rep in reports)
-                row["status"] = "pass" if ok else "fail"
-                return row
-
-            tasks.append(_task(base, check))
-    return tasks
+def _cycles(max_n, catalog):
+    return [_family("cycle", n) for n in range(3, max_n + 1)]
 
 
-def _suite_targets(max_n, max_t, catalog, budget):
-    instances: list[tuple[str, Graph]] = []
+def _targets_instances(max_n, catalog):
     if catalog is not None:
-        instances = [(serialize_graph6(g), g) for g in catalog if g.n <= max_n]
-    else:
-        for g in load_catalog("trees_up_to_8", max_n=min(max_n, 6)):
-            if g.n >= 2:
-                instances.append((serialize_graph6(g), g))
-        for n in range(3, max_n + 1):
-            instances.append((f"cycle:{n}", make_family("cycle", n)))
-        for n in range(2, max_n + 1):
-            instances.append((f"complete:{n}", make_family("complete", n)))
-    tasks = []
-    for gid, g in instances:
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": diameter(g), "t": t}
+        return [(serialize_graph6(g), g) for g in catalog if g.n <= max_n]
+    return (
+        _TREES(min(max_n, 6), None)
+        + _cycles(max_n, None)
+        + [_family("complete", n) for n in range(2, max_n + 1)]
+    )
 
-            def check(g=g, t=t):
-                arb = arbitrary_target_number(g, t, budget).value
-                single = pebbling_number(g, t, budget).value
-                return {
-                    "targets": arb,
-                    "single": single,
-                    "status": "pass" if arb == single else "fail",
-                }
 
-            tasks.append(_task(base, check))
+def _closed_targets(max_n, catalog):
     # Even cycles and hypercubes additionally pin the closed value 2^D * t.
-    for gid, g in [
-        ("cycle:4", make_family("cycle", 4)),
-        ("cycle:6", make_family("cycle", 6)),
-        ("hypercube:2", make_family("hypercube", 2)),
-    ]:
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": diameter(g), "t": t}
-
-            def check(g=g, t=t):
-                want = (1 << diameter(g)) * t
-                arb = arbitrary_target_number(g, t, budget).value
-                return {
-                    "targets": arb,
-                    "closed": want,
-                    "status": "pass" if arb == want else "fail",
-                }
-
-            tasks.append(_task(base, check))
-    return tasks
+    return [_family("cycle", 4), _family("cycle", 6), _family("hypercube", 2)]
 
 
-def _fracopt_families(max_n):
+def _fracopt_families(max_n, catalog):
     fams: list[tuple[str, Graph, Fraction]] = []
     for n in range(2, 7):
-        fams.append(
-            ("complete:%d" % n, make_family("complete", n), Fraction(2 * n, n + 1))
-        )
+        fams.append((*_family("complete", n), Fraction(2 * n, n + 1)))
     for n in range(3, 9):
         k = n // 2
         if n % 2 == 0:
             closed = Fraction(k * (1 << (k + 1)), 3 * ((1 << k) - 1))
         else:
             closed = Fraction(n * (1 << (k - 1)), 3 * (1 << (k - 1)) - 1)
-        fams.append(("cycle:%d" % n, make_family("cycle", n), closed))
+        fams.append((*_family("cycle", n), closed))
     for k in range(1, 4):
-        fams.append(
-            ("hypercube:%d" % k, make_family("hypercube", k), Fraction(4**k, 3**k))
-        )
+        fams.append((*_family("hypercube", k), Fraction(4**k, 3**k)))
     return [(gid, g, closed) for gid, g, closed in fams if g.n <= max_n]
 
 
-def _suite_fracopt(max_n, max_t, catalog, budget):
-    tasks = []
-    for gid, g, closed in _fracopt_families(max_n):
-        base = {"graph": gid, "n": g.n, "diameter": diameter(g)}
+def _round_trips(max_n, catalog):
+    pairs = [_family("complete", 3), _family("cycle", 4)]
+    return [(gid, g) for gid, g in pairs if g.n <= max_n]
 
-        def check(g=g, closed=closed):
-            value = optimal_fractional_pebbling(g)
-            uniform = Fraction(g.n) / vertex_transitive_m(g, 0)
-            ok = value == closed == uniform
-            return {
-                "lp": value,
-                "closed": closed,
-                "uniform": uniform,
-                "status": "pass" if ok else "fail",
-            }
 
-        tasks.append(_task(base, check))
-    # Round trip: scale the fractional optimum to an engine-checked integer
+def _check_trees(g, t, value):
+    formula = tree_pebbling_formula(maximal_path_partition(g), t)
+    brute = value(pebbling_number, g, t)
+    roots_ok = all(
+        tree_pebbling_formula(maximal_path_partition(g, r), t)
+        == value(rooted_pebbling_number, g, t, r)
+        for r in range(g.n)
+    )
+    ok = formula == brute and roots_ok
+    return {
+        "formula": formula,
+        "brute": brute,
+        "roots_match": roots_ok,
+        "status": "pass" if ok else "fail",
+    }
+
+
+def _check_cycles(g, t, value):
+    formula = cycle_pebbling_formula(g.n, t)
+    brute = value(pebbling_number, g, t)
+    return {
+        "formula": formula,
+        "brute": brute,
+        "status": "pass" if formula == brute else "fail",
+    }
+
+
+def _check_radius(g, t, value):
+    # Eccentricity and rooted value are orbit-invariant; one
+    # representative per orbit covers every root.
+    worst = min(
+        radius_bound(g.n, int(g.distances[orbit[0]].max()), t)
+        - value(rooted_pebbling_number, g, t, orbit[0])
+        for orbit in vertex_orbits(g)
+    )
+    return {
+        "min_slack": worst,
+        "status": "pass" if worst >= 0 else "fail",
+    }
+
+
+def _check_diam2(g, t, value):
+    pi_1 = value(pebbling_number, g, 1)
+    pi_t = value(pebbling_number, g, t)
+    reports = [rep.with_exact(pi_t) for rep in diam2_bounds(g.n, pi_1, t)]
+    ok = all(rep.slack >= 0 for rep in reports)
+    row = {rep.bound: rep.value for rep in reports}
+    row["pi_t"] = pi_t
+    row["slack"] = min(rep.slack for rep in reports)
+    row["status"] = "pass" if ok else "fail"
+    return row
+
+
+def _check_targets(g, t, value):
+    arb = value(arbitrary_target_number, g, t)
+    single = value(pebbling_number, g, t)
+    return {
+        "targets": arb,
+        "single": single,
+        "status": "pass" if arb == single else "fail",
+    }
+
+
+def _check_closed_targets(g, t, value):
+    want = (1 << diameter(g)) * t
+    arb = value(arbitrary_target_number, g, t)
+    return {
+        "targets": arb,
+        "closed": want,
+        "status": "pass" if arb == want else "fail",
+    }
+
+
+def _check_fracopt(g, t, value, closed):
+    lp = optimal_fractional_pebbling(g)
+    uniform = Fraction(g.n) / vertex_transitive_m(g, 0)
+    ok = lp == closed == uniform
+    return {
+        "lp": lp,
+        "closed": closed,
+        "uniform": uniform,
+        "status": "pass" if ok else "fail",
+    }
+
+
+def _check_round_trip(g, t, value):
+    # Scale the fractional optimum to an engine-checked integer
     # distribution and confirm the size ratio survives.
-    for gid, g in [
-        ("complete:3", make_family("complete", 3)),
-        ("cycle:4", make_family("cycle", 4)),
-    ]:
-        if g.n > max_n:
-            continue
-        base = {"graph": gid, "n": g.n, "diameter": diameter(g)}
-
-        def check(g=g):
-            sol = solve_lp(build_opt_model(g, 1, integral=False))
-            t, dist = rationalize_to_integer(g, sol, budget)
-            ok = Fraction(dist.size, t) == sol.objective
-            return {
-                "t": t,
-                "distribution": dist,
-                "ratio": Fraction(dist.size, t),
-                "status": "pass" if ok else "fail",
-            }
-
-        tasks.append(_task(base, check))
-    return tasks
+    sol = solve_lp(build_opt_model(g, 1, integral=False))
+    scale, dist = rationalize_to_integer(g, sol, value.budget)
+    ok = Fraction(dist.size, scale) == sol.objective
+    return {
+        "t": scale,
+        "distribution": dist,
+        "ratio": Fraction(dist.size, scale),
+        "status": "pass" if ok else "fail",
+    }
 
 
-SUITE_BUILDERS = {
-    "trees": _suite_trees,
-    "cycles": _suite_cycles,
-    "radius": _suite_radius,
-    "diam2": _suite_diam2,
-    "targets": _suite_targets,
-    "fracopt": _suite_fracopt,
+def _check_diamconj(g, t, value):
+    now = value(pebbling_number, g, t)
+    nxt = value(pebbling_number, g, t + 1)
+    step = 1 << diameter(g)
+    # Past the threshold the step is a theorem, not a
+    # conjecture: equality must hold exactly.
+    regime = g.n >= 2 and t >= diambound_threshold(g.n, diameter(g))
+    ok = nxt == now + step if regime else nxt <= now + step
+    return {
+        "pi_t": now,
+        "pi_next": nxt,
+        "step_cap": step,
+        "regime": regime,
+        "status": "pass" if ok else "fail",
+    }
+
+
+def _check_weakdiam(g, t, value):
+    pi_1 = value(pebbling_number, g, 1)
+    pi_t = value(pebbling_number, g, t)
+    cap = pi_1 + (1 << diameter(g)) * (t - 1)
+    return {
+        "pi_t": pi_t,
+        "cap": cap,
+        "status": "pass" if pi_t <= cap else "fail",
+    }
+
+
+def _check_gnd(g, t, value):
+    mine = value(pebbling_number, g, 1)
+    extremal = value(pebbling_number, construct.build_gnd(g.n, diameter(g)), 1)
+    return {
+        "pi": mine,
+        "extremal_pi": extremal,
+        "status": "pass" if mine <= extremal else "fail",
+    }
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A verify suite or a conjecture: its (instances, check) parts, run in
+    order; its default (max_n, max_t); and whether each instance gets one
+    row per t in 1..max_t or a single row."""
+
+    parts: tuple
+    defaults: tuple[int, int]
+    per_t: bool = True
+
+
+_TREES = _catalog("trees_up_to_8", min_n=2)
+_CONNECTED = _catalog("connected_up_to_6")
+_CONNECTED_2 = _catalog("connected_up_to_6", min_n=2)
+
+SUITES = {
+    "trees": Sweep(((_TREES, _check_trees),), (8, 3)),
+    "cycles": Sweep(((_cycles, _check_cycles),), (8, 3)),
+    "radius": Sweep(((_CONNECTED_2, _check_radius),), (6, 2)),
+    "diam2": Sweep(
+        ((_catalog("connected_up_to_6", min_n=2, diam=2), _check_diam2),), (6, 3)
+    ),
+    "targets": Sweep(
+        (
+            (_targets_instances, _check_targets),
+            (_closed_targets, _check_closed_targets),
+        ),
+        (6, 2),
+    ),
+    "fracopt": Sweep(
+        ((_fracopt_families, _check_fracopt), (_round_trips, _check_round_trip)),
+        (8, 1),
+        per_t=False,
+    ),
 }
 
-SUITE_DEFAULTS = {
-    "trees": (8, 3),
-    "cycles": (8, 3),
-    "radius": (6, 2),
-    "diam2": (6, 3),
-    "targets": (6, 2),
-    "fracopt": (8, 1),
+CONJECTURES = {
+    "diamconj": Sweep(((_CONNECTED, _check_diamconj),), (5, 2)),
+    "weakdiam": Sweep(((_CONNECTED, _check_weakdiam),), (5, 3)),
+    "targets": Sweep(((_CONNECTED, _check_targets),), (5, 2)),
+    "gnd": Sweep(((_CONNECTED_2, _check_gnd),), (6, 1), per_t=False),
 }
 
 
-# -- conjecture sweeps ---------------------------------------------------
-
-
-def _conjecture_diamconj(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
+def _run_sweep(name: str, sweep: Sweep, args) -> VerificationReport:
+    max_n = args.max_n or sweep.defaults[0]
+    max_t = args.max_t or sweep.defaults[1]
+    value = _Values(
+        Budget(
+            max_n=max(8, max_n),
+            max_t=max(4, max_t + 1),
+            max_pebbles=args.max_pebbles or 80,
+        )
     )
+    catalog = _read_catalog(args.catalog)
+    started = time.perf_counter()
     tasks = []
-    for g in graphs:
-        if g.n > max_n:
-            continue
-        gid = serialize_graph6(g)
-        d = diameter(g) if g.n > 1 else 0
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": d, "t": t}
-
-            def check(g=g, d=d, t=t):
-                now = pebbling_number(g, t, budget).value
-                nxt = pebbling_number(g, t + 1, budget).value
-                step = 1 << d
-                ok = nxt <= now + step
-                row = {"pi_t": now, "pi_next": nxt, "step_cap": step}
-                # Past the threshold the step is a theorem, not a
-                # conjecture: equality must hold exactly.
-                if g.n >= 2 and t >= diambound_threshold(g.n, d):
-                    row["regime"] = True
-                    ok = ok and nxt == now + step
-                else:
-                    row["regime"] = False
-                row["status"] = "pass" if ok else "fail"
-                return row
-
-            tasks.append(_task(base, check))
-    return tasks
-
-
-def _conjecture_weakdiam(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
-    )
-    tasks = []
-    for g in graphs:
-        if g.n > max_n:
-            continue
-        gid = serialize_graph6(g)
-        d = diameter(g) if g.n > 1 else 0
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": d, "t": t}
-
-            def check(g=g, d=d, t=t):
-                pi_1 = pebbling_number(g, 1, budget).value
-                pi_t = pebbling_number(g, t, budget).value
-                cap = pi_1 + (1 << d) * (t - 1)
-                return {
-                    "pi_t": pi_t,
-                    "cap": cap,
-                    "status": "pass" if pi_t <= cap else "fail",
-                }
-
-            tasks.append(_task(base, check))
-    return tasks
-
-
-def _conjecture_targets(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
-    )
-    tasks = []
-    for g in graphs:
-        if g.n > max_n:
-            continue
-        gid = serialize_graph6(g)
-        for t in range(1, max_t + 1):
-            base = {"graph": gid, "n": g.n, "diameter": diameter(g), "t": t}
-
-            def check(g=g, t=t):
-                arb = arbitrary_target_number(g, t, budget).value
-                single = pebbling_number(g, t, budget).value
-                return {
-                    "targets": arb,
-                    "single": single,
-                    "status": "pass" if arb == single else "fail",
-                }
-
-            tasks.append(_task(base, check))
-    return tasks
-
-
-def _conjecture_gnd(max_n, max_t, catalog, budget):
-    graphs = catalog if catalog is not None else load_catalog(
-        "connected_up_to_6", max_n=max_n
-    )
-    extremal_pi: dict[tuple[int, int], int] = {}
-
-    def extremal_value(n: int, d: int) -> int:
-        if (n, d) not in extremal_pi:
-            extremal_pi[(n, d)] = pebbling_number(
-                construct.build_gnd(n, d), 1, budget
-            ).value
-        return extremal_pi[(n, d)]
-
-    tasks = []
-    for g in graphs:
-        if g.n > max_n or g.n < 2:
-            continue
-        gid = serialize_graph6(g)
-        d = diameter(g)
-        base = {"graph": gid, "n": g.n, "diameter": d}
-
-        def check(g=g, d=d):
-            mine = pebbling_number(g, 1, budget).value
-            extremal = extremal_value(g.n, d)
-            return {
-                "pi": mine,
-                "extremal_pi": extremal,
-                "status": "pass" if mine <= extremal else "fail",
-            }
-
-        tasks.append(_task(base, check))
-    return tasks
-
-
-CONJECTURE_BUILDERS = {
-    "diamconj": _conjecture_diamconj,
-    "weakdiam": _conjecture_weakdiam,
-    "targets": _conjecture_targets,
-    "gnd": _conjecture_gnd,
-}
-
-CONJECTURE_DEFAULTS = {
-    "diamconj": (5, 2),
-    "weakdiam": (5, 3),
-    "targets": (5, 2),
-    "gnd": (6, 1),
-}
+    for instances, check in sweep.parts:
+        for gid, g, *extra in instances(max_n, catalog):
+            base = {"graph": gid, "n": g.n, "diameter": diameter(g)}
+            for t in range(1, max_t + 1) if sweep.per_t else (None,):
+                row = base if t is None else {**base, "t": t}
+                tasks.append(_task(row, partial(check, g, t, value, *extra)))
+    rows = [run() for run in tasks]
+    return VerificationReport(name, rows, (time.perf_counter() - started) * 1000)
 
 
 # -- output plumbing -----------------------------------------------------
@@ -608,20 +493,6 @@ def _emit_counterexamples(name: str, rows: list[dict], outdir: str) -> list[Path
 # -- subcommands ----------------------------------------------------------
 
 
-def _budget_for_suite(args, max_n: int, max_t: int) -> Budget:
-    return Budget(
-        max_n=max(8, max_n),
-        max_t=max(4, max_t + 1),
-        max_pebbles=args.max_pebbles if args.max_pebbles else 80,
-    )
-
-
-def _sweep_limits(args, defaults) -> tuple[int, int]:
-    max_n = args.max_n if args.max_n else defaults[0]
-    max_t = args.max_t if args.max_t else defaults[1]
-    return max_n, max_t
-
-
 def _read_catalog(path: str | None):
     if path is None:
         return None
@@ -690,31 +561,15 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n, max_t = _sweep_limits(args, SUITE_DEFAULTS[args.suite])
-    budget = _budget_for_suite(args, max_n, max_t)
-    catalog = _read_catalog(args.catalog)
-    started = time.perf_counter()
-    tasks = SUITE_BUILDERS[args.suite](max_n, max_t, catalog, budget)
-    rows = _run_tasks(tasks, args.jobs)
-    report = VerificationReport(
-        args.suite, rows, (time.perf_counter() - started) * 1000
-    )
+    report = _run_sweep(args.suite, SUITES[args.suite], args)
     _emit_report(report, args)
     return report.exit_code
 
 
 def _cmd_conjecture(args) -> int:
-    max_n, max_t = _sweep_limits(args, CONJECTURE_DEFAULTS[args.name])
-    budget = _budget_for_suite(args, max_n, max_t)
-    catalog = _read_catalog(args.catalog)
-    started = time.perf_counter()
-    tasks = CONJECTURE_BUILDERS[args.name](max_n, max_t, catalog, budget)
-    rows = _run_tasks(tasks, args.jobs)
-    report = VerificationReport(
-        args.name, rows, (time.perf_counter() - started) * 1000
-    )
+    report = _run_sweep(args.name, CONJECTURES[args.name], args)
     _emit_report(report, args)
-    _emit_counterexamples(args.name, rows, args.artifact_dir)
+    _emit_counterexamples(args.name, report.rows, args.artifact_dir)
     return report.exit_code
 
 
@@ -770,7 +625,12 @@ def _add_budget_flags(sub):
     sub.add_argument("--max-n", type=int, dest="max_n")
     sub.add_argument("--max-t", type=int, dest="max_t")
     sub.add_argument("--max-pebbles", type=int, dest="max_pebbles")
-    sub.add_argument("--node-budget", type=int, dest="node_budget")
+
+
+def _add_sweep_flags(sub):
+    sub.add_argument("--catalog", help="graph6 file overriding the instance set")
+    # rows share the one memo arena of exact, so they run one at a time
+    sub.add_argument("--jobs", type=int, choices=(1,), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -791,16 +651,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run a theorem verification sweep")
     verify.add_argument("--suite", choices=SUITES, required=True)
-    verify.add_argument("--catalog", help="graph6 file overriding the instance set")
-    verify.add_argument("--jobs", type=int, default=1)
+    _add_sweep_flags(verify)
     _add_output_flags(verify)
     _add_budget_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
     conj = subs.add_parser("conjecture", help="sweep a conjecture for counterexamples")
     conj.add_argument("--name", choices=CONJECTURES, required=True)
-    conj.add_argument("--catalog", help="graph6 file overriding the instance set")
-    conj.add_argument("--jobs", type=int, default=1)
+    _add_sweep_flags(conj)
     conj.add_argument(
         "--artifact-dir",
         default=".",

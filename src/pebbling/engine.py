@@ -198,8 +198,6 @@ def is_reachable(
     *,
     want_moves: bool = False,
     memo_cap: int = 2_000_000,
-    orbit_canonicalize: bool = False,
-    automorphisms: Sequence[tuple[int, ...]] | None = None,
 ):
     """True iff some move sequence from D yields a distribution containing
     target (pointwise). With want_moves, also returns the witness
@@ -209,8 +207,7 @@ def is_reachable(
     domination pruning (a failed superset-state subsumes the current one),
     and exact integer-scaled weight pruning per deficient target vertex.
     The memo is bounded by memo_cap; overflowing it raises rather than
-    degrading silently. orbit_canonicalize folds memo keys under the given
-    automorphisms (off by default).
+    degrading silently.
     """
     g.require_connected()
     n = g.n
@@ -223,18 +220,6 @@ def is_reachable(
     tvec = target.counts
     anchors = [v for v in range(n) if tvec[v] > 0]
     tneed = {a: sum(tvec[w] * int(wint[w, a]) for w in range(n)) for a in anchors}
-    group = tuple(automorphisms) if orbit_canonicalize and automorphisms else None
-
-    def canon(c: tuple[int, ...]) -> tuple[int, ...]:
-        if group is None:
-            return c
-        best = c
-        for sigma in group:
-            img = tuple(c[sigma.index(v)] for v in range(n))
-            if img < best:
-                best = img
-        return best
-
     failed_memo: set[tuple[int, ...]] = set()
     failed_maximal: list[tuple[int, ...]] = []
     path: list[tuple[int, int]] = []
@@ -267,8 +252,7 @@ def is_reachable(
             return True
         if not weight_ok(c):
             return False
-        key = canon(c)
-        if key in failed_memo or dominated(c):
+        if c in failed_memo or dominated(c):
             return False
         for v, u in moves_from(c):
             child = list(c)
@@ -282,7 +266,7 @@ def is_reachable(
             raise BudgetExceededError(
                 f"reachability memo exceeded {memo_cap} entries"
             )
-        failed_memo.add(key)
+        failed_memo.add(c)
         filtered = [f for f in failed_maximal if not all(c[v] >= f[v] for v in range(n))]
         filtered.append(c)
         failed_maximal[:] = filtered

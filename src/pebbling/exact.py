@@ -157,138 +157,99 @@ class _GraphArrays:
 
 
 class _TargetContext:
-    """Per-target precomputation: anchors, weight tables, move order, trees."""
+    """Per-target precomputation: anchors, weight tables, move order, trees,
+    packed into the one kernel record (layout in the _kernels docstring)."""
 
     def __init__(self, ga: _GraphArrays, target: np.ndarray, budget: Budget):
         self.ga = ga
         n = ga.n
-        self.target = target.astype(np.int64)
-        anchors = np.nonzero(self.target)[0].astype(np.int64)
+        target = target.astype(np.int64)
+        anchors = np.nonzero(target)[0].astype(np.int64)
         if anchors.size == 0:
             raise ValueError("target must place at least one pebble")
         self.anchors = anchors
         self.tneed = np.array(
             [
-                int((self.target * ga.wint[:, a]).sum())
+                int((target * ga.wint[:, a]).sum())
                 for a in anchors
             ],
             dtype=np.int64,
         )
-        self.captab = np.array(
+        captab = np.array(
             [
-                int((self.target << ga.dist[v]).sum())
+                int((target << ga.dist[v]).sum())
                 for v in range(n)
             ],
             dtype=np.int64,
         )
         mind = ga.dist[:, anchors].min(axis=1)
-        self.order = np.array(
+        order = np.array(
             sorted(range(n), key=lambda v: (-int(mind[v]), v)), dtype=np.int64
         )
         # suffix maxima of anchor weights along the assignment order
-        self.bestw = np.zeros((anchors.size, n), dtype=np.int64)
+        bestw = np.zeros((anchors.size, n), dtype=np.int64)
         for ai, a in enumerate(anchors):
             suf = 0
             for p in range(n - 2, -1, -1):
-                suf = max(suf, int(ga.wint[self.order[p + 1], a]))
-                self.bestw[ai, p] = suf
+                suf = max(suf, int(ga.wint[order[p + 1], a]))
+                bestw[ai, p] = suf
         a0 = int(anchors[0])
         dir_edges = [(v, u) for v, u in ga.g.edges] + [
             (u, v) for v, u in ga.g.edges
         ]
         dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
-        self.ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
-        self.et = np.array([u for _, u in dir_edges], dtype=np.int64)
+        ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
+        et = np.array([u for _, u in dir_edges], dtype=np.int64)
         if ga.kind == 1:
-            self.torder, self.tparent = ga.tree_arrays(a0)
-            self.troot = a0
-            self.gorders = np.zeros((0, n), dtype=np.int64)
-            self.gparents = np.zeros((0, n), dtype=np.int64)
-            self.groots = np.zeros(0, dtype=np.int64)
+            torder, tparent = ga.tree_arrays(a0)
+            troot = a0
+            gorders = np.zeros((0, n), dtype=np.int64)
+            gparents = np.zeros((0, n), dtype=np.int64)
+            groots = np.zeros(0, dtype=np.int64)
         else:
-            self.torder = np.zeros(n, dtype=np.int64)
-            self.tparent = np.zeros(n, dtype=np.int64)
-            self.troot = 0
+            torder = np.zeros(n, dtype=np.int64)
+            tparent = np.zeros(n, dtype=np.int64)
+            troot = 0
             roots = [int(a) for a in anchors[:3]]
             orders, parents = [], []
             for r in roots:
                 o, p = ga.tree_arrays(r)
                 orders.append(o)
                 parents.append(p)
-            self.gorders = np.array(orders, dtype=np.int64)
-            self.gparents = np.array(parents, dtype=np.int64)
-            self.groots = np.array(roots, dtype=np.int64)
-        self.epoch = _next_epoch()
-        self.memo_keys, self.memo_stamps = _memo_buffers(budget.memo_bits)
+            gorders = np.array(orders, dtype=np.int64)
+            gparents = np.array(parents, dtype=np.int64)
+            groots = np.array(roots, dtype=np.int64)
+        self.memo_keys, memo_stamps = _memo_buffers(budget.memo_bits)
         self.memo_used = np.zeros(1, dtype=np.int64)
+        self.record = (
+            target, anchors, self.tneed, captab, order, bestw, torder, tparent,
+            troot, gorders, gparents, groots, ef, et, n, ga.wint, ga.cycpos,
+            ga.base, self.memo_keys, memo_stamps, _next_epoch(), self.memo_used,
+        )
         self.dfs_box = np.array([budget.dfs_nodes], dtype=np.int64)
+
+    def refusal(self) -> str:
+        """Which DFS cap a refused decision tripped."""
+        if self.memo_used[0] * 10 >= self.memo_keys.shape[0] * 7:
+            return "DFS memo full; raise memo_bits"
+        return "DFS node budget exhausted"
 
     def scan(self, s: int, budget: Budget) -> tuple[int, np.ndarray | None, int]:
         """Search for an unsolvable distribution of size s."""
         witness = np.zeros(self.ga.n, dtype=np.int64)
         code, nodes, _ = K.witness_scan(
-            self.ga.n,
-            self.ga.kind,
-            self.target,
-            self.anchors,
-            self.ga.wint,
-            self.tneed,
-            self.captab,
-            self.order,
-            self.bestw,
-            self.torder,
-            self.tparent,
-            self.troot,
-            self.gorders,
-            self.gparents,
-            self.groots,
-            self.ga.cycpos,
-            self.ef,
-            self.et,
-            s,
-            self.ga.base,
-            self.memo_keys,
-            self.memo_stamps,
-            self.epoch,
-            budget.scan_nodes,
-            int(self.dfs_box[0]),
+            self.ga.kind, self.record, s, budget.scan_nodes, int(self.dfs_box[0]),
             witness,
         )
-        if code == K.REFUSED:
-            return K.REFUSED, None, int(nodes)
-        if code == K.FOUND:
-            return K.FOUND, witness, int(nodes)
-        return K.NONE, None, int(nodes)
+        return code, witness if code == K.FOUND else None, int(nodes)
 
     def decide(self, counts: np.ndarray) -> bool:
         """Exact: does counts cover the target? (Kernel-backed.)"""
         code = K._decide_solvable(
-            counts.astype(np.int64),
-            self.ga.kind,
-            self.ga.n,
-            self.target,
-            self.anchors,
-            self.ga.wint,
-            self.tneed,
-            self.captab,
-            self.torder,
-            self.tparent,
-            self.troot,
-            self.gorders,
-            self.gparents,
-            self.groots,
-            self.ga.cycpos,
-            self.ef,
-            self.et,
-            self.ga.base,
-            self.memo_keys,
-            self.memo_stamps,
-            self.epoch,
-            self.memo_used,
-            self.dfs_box,
+            counts.astype(np.int64), self.ga.kind, self.record, self.dfs_box
         )
         if code == K.REFUSED:
-            raise BudgetExceededError("DFS node or memo budget exhausted")
+            raise BudgetExceededError(self.refusal())
         return code == K.FOUND
 
 
@@ -433,8 +394,13 @@ def _min_size_for_target(
         code, found, nodes = tc.scan(s, budget)
         enumerated += nodes
         if code == K.REFUSED:
+            reason = (
+                "scan node budget exhausted"
+                if nodes > budget.scan_nodes
+                else tc.refusal()
+            )
             raise BudgetExceededError(
-                f"scan node budget exhausted at |D|={s}",
+                f"{reason} at |D|={s}",
                 best_lower=s,
                 nodes=enumerated,
             )

@@ -204,23 +204,6 @@ class TestReachability:
         )
         assert is_reachable(g, bigger, target)
 
-    def test_orbit_canonicalization_agrees(self):
-        from pebbling.graphs import automorphisms
-
-        g = make_family("cycle", 5)
-        auts = automorphisms(g)
-        for counts in itertools.product(range(3), repeat=5):
-            D = PebbleDistribution(counts)
-            plain = is_reachable(g, D, PebbleDistribution.point(5, 0))
-            folded = is_reachable(
-                g,
-                D,
-                PebbleDistribution.point(5, 0),
-                orbit_canonicalize=True,
-                automorphisms=auts,
-            )
-            assert plain == folded
-
 
 class TestDelivery:
     def test_max_pebbles_on_path(self):
