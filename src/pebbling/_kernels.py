@@ -16,11 +16,14 @@ Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
 
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
-(target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
- gorders, gparents, groots, ef, et, n, wint, cycpos, base,
- memo_keys, memo_stamps, epoch, memo_used).
-memo_used counts the memo entries stored under this target's epoch, over
-every scan and decision, so the load guard in _memo_add sees them all.
+(target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+ ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used).
+Row j of gorders/gparents/groots is the BFS tree at anchor j; on a tree the
+one row, at the first anchor, is the graph itself and serves the tree
+oracle. memo_used counts the memo entries stored under this target's epoch,
+over every scan and decision, so the load guard in _memo_add sees them all.
+The scan-node budget and the DFS node box belong to the caller and are
+spent over a whole public call.
 """
 from __future__ import annotations
 
@@ -191,24 +194,14 @@ def dfs_decide(
     containing target? Iterative DFS over the shrinking-count DAG with a
     failed-state memo and per-anchor weight pruning.
 
-    node_box[0] carries the remaining node budget (shared across calls).
+    The caller has already found that c0 neither contains the target nor
+    fails the weight bound. node_box[0] carries the remaining node budget,
+    shared by every scan and decision of one call.
     """
     nedges = ef.shape[0]
     total = np.int64(0)
-    deficient = False
     for v in range(n):
         total += c0[v]
-        if c0[v] < target[v]:
-            deficient = True
-    if not deficient:
-        return FOUND
-    for a in range(anchors.shape[0]):
-        w = np.int64(0)
-        av = anchors[a]
-        for v in range(n):
-            w += c0[v] * wint[v, av]
-        if w < tneed[a]:
-            return NONE
     depth_cap = int(total) + 2
     stack = np.zeros((depth_cap, n), dtype=np.int64)
     cursor = np.zeros(depth_cap, dtype=np.int64)
@@ -272,11 +265,13 @@ def _decide_solvable(counts, kind, record, dfs_box):
     """1 if counts covers target, 0 if not, -1 refused. Exact for every kind:
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
-    (target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
-     gorders, gparents, groots, ef, et, n, wint, cycpos, base,
-     memo_keys, memo_stamps, epoch, memo_used) = record
+    (target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+     ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
+     memo_used) = record
     if kind == 1:
-        return tree_multi_feasible(torder, tparent, troot, counts, target)
+        return tree_multi_feasible(
+            gorders[0], gparents[0], groots[0], counts, target
+        )
     if kind == 2:
         return cycle_feasible(cycpos, counts, target)
     # containment
@@ -310,7 +305,7 @@ def _decide_solvable(counts, kind, record, dfs_box):
 
 
 @_maybe_jit
-def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
+def witness_scan(kind, record, s, scan_budget, dfs_box, witness_out):
     """Search for an unsolvable distribution of size exactly s.
 
     Enumerates weak compositions of s over the vertices in `order` (far from
@@ -319,14 +314,12 @@ def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
     monotone under adding pebbles) and short-circuiting whole subtrees where
     the weight bound proves every completion unsolvable.
 
-    Returns (code, scan_nodes, dfs_nodes_used); the witness, when found, is
-    written to witness_out.
+    Returns (code, scan_nodes); the witness, when found, is written to
+    witness_out. Decisions draw on the caller's DFS node box dfs_box.
     """
-    (target, anchors, tneed, captab, order, bestw, torder, tparent, troot,
-     gorders, gparents, groots, ef, et, n, wint, cycpos, base,
-     memo_keys, memo_stamps, epoch, memo_used) = record
-    dfs_box = np.zeros(1, dtype=np.int64)
-    dfs_box[0] = dfs_budget
+    (target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+     ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
+     memo_used) = record
     counts = np.zeros(n, dtype=np.int64)
     rem_stack = np.zeros(n + 1, dtype=np.int64)
     choice = np.zeros(n + 1, dtype=np.int64)
@@ -343,14 +336,14 @@ def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
             counts[v] = rem_stack[p]
             nodes += 1
             if nodes > scan_budget:
-                return REFUSED, nodes, dfs_budget - dfs_box[0]
+                return REFUSED, nodes
             code = _decide_solvable(counts, kind, record, dfs_box)
             if code == NONE:
                 for x in range(n):
                     witness_out[x] = counts[x]
-                return FOUND, nodes, dfs_budget - dfs_box[0]
+                return FOUND, nodes
             if code == REFUSED:
-                return REFUSED, nodes, dfs_budget - dfs_box[0]
+                return REFUSED, nodes
             counts[v] = 0
             p -= 1
             continue
@@ -365,7 +358,7 @@ def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
         rem = rem_stack[p] - c
         nodes += 1
         if nodes > scan_budget:
-            return REFUSED, nodes, dfs_budget - dfs_box[0]
+            return REFUSED, nodes
         for a in range(nanch):
             prefw[p + 1, a] = prefw[p, a] + c * wint[v, anchors[a]]
         # if even the best-placed completion stays under the needed weight at
@@ -379,14 +372,14 @@ def witness_scan(kind, record, s, scan_budget, dfs_budget, witness_out):
                 emitted = True
                 break
         if emitted:
-            return FOUND, nodes, dfs_budget - dfs_box[0]
+            return FOUND, nodes
         # a solvable prefix only gets more solvable as the tail is filled in
         code = _decide_solvable(counts, kind, record, dfs_box)
         if code == REFUSED:
-            return REFUSED, nodes, dfs_budget - dfs_box[0]
+            return REFUSED, nodes
         if code == FOUND:
             continue
         p += 1
         rem_stack[p] = rem
         choice[p] = rem + 1
-    return NONE, nodes, dfs_budget - dfs_box[0]
+    return NONE, nodes

@@ -64,8 +64,6 @@ EXIT_VIOLATION = 1
 EXIT_REFUSAL = 2
 EXIT_USAGE = 3
 
-STATS = ("pi", "pi_t", "pi_rooted", "pi_star", "pi_arb", "pi_hat", "pi_hat_star")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the harness reserves 2 for refusals.
@@ -505,16 +503,42 @@ def _read_catalog(path: str | None):
     return graphs
 
 
-def _formula_stat(g: Graph, kind: str, value, started: float) -> dict:
-    return {
-        "graph": serialize_graph6(g),
-        "kind": kind,
-        "t": None,
-        "value": _clean(value),
-        "witness": None,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-        "enumerated_count": 0,
-    }
+def _exact(stat):
+    return lambda g, args, budget: stat(g, args.t, budget).to_json()
+
+
+def _rooted(g: Graph, args, budget: Budget) -> dict:
+    if args.root is None:
+        raise ValueError("--root is required for pi_rooted")
+    return rooted_pebbling_number(g, args.root, args.t, budget).to_json()
+
+
+def _formula(kind: str, compute):
+    def stat(g: Graph, args, budget: Budget) -> dict:
+        started = time.perf_counter()
+        return {
+            "graph": serialize_graph6(g),
+            "kind": kind,
+            "t": None,
+            "value": _clean(compute(g)),
+            "witness": None,
+            "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+            "enumerated_count": 0,
+        }
+
+    return stat
+
+
+# each --stat and how to compute its JSON record; pi_t is an alias of pi
+STATS = {
+    "pi": _exact(pebbling_number),
+    "pi_t": _exact(pebbling_number),
+    "pi_rooted": _rooted,
+    "pi_star": _exact(optimal_pebbling_number),
+    "pi_arb": _exact(arbitrary_target_number),
+    "pi_hat": _formula("pi_hat", fractional_pebbling_number),
+    "pi_hat_star": _formula("pi_hat_star", optimal_fractional_pebbling),
+}
 
 
 def _cmd_compute(args) -> int:
@@ -530,24 +554,7 @@ def _cmd_compute(args) -> int:
             if val
         }
     )
-    kind = "pi" if args.stat == "pi_t" else args.stat
-    started = time.perf_counter()
-    if kind == "pi":
-        stat = pebbling_number(g, args.t, budget).to_json()
-    elif kind == "pi_rooted":
-        if args.root is None:
-            raise ValueError("--root is required for pi_rooted")
-        stat = rooted_pebbling_number(g, args.root, args.t, budget).to_json()
-    elif kind == "pi_star":
-        stat = optimal_pebbling_number(g, args.t, budget).to_json()
-    elif kind == "pi_arb":
-        stat = arbitrary_target_number(g, args.t, budget).to_json()
-    elif kind == "pi_hat":
-        stat = _formula_stat(g, "pi_hat", fractional_pebbling_number(g), started)
-    else:
-        stat = _formula_stat(
-            g, "pi_hat_star", optimal_fractional_pebbling(g), started
-        )
+    stat = STATS[args.stat](g, args, budget)
     if args.format == "json":
         _write_output(json.dumps(stat, indent=2) + "\n", args.out)
     elif args.format == "csv":

@@ -247,32 +247,47 @@ def is_reachable(
         ms.sort(key=lambda vu: (int(dist[vu[1], star]), vu))
         return ms
 
-    def search(c: tuple[int, ...]) -> bool:
+    def settle(c: tuple[int, ...]) -> bool | None:
+        """True if c contains the target, False if c is pruned, None if its
+        moves must be searched."""
         if all(c[v] >= tvec[v] for v in range(n)):
             return True
-        if not weight_ok(c):
+        if not weight_ok(c) or c in failed_memo or dominated(c):
             return False
-        if c in failed_memo or dominated(c):
-            return False
-        for v, u in moves_from(c):
-            child = list(c)
-            child[v] -= 2
-            child[u] += 1
-            path.append((v, u))
-            if search(tuple(child)):
-                return True
-            path.pop()
-        if len(failed_memo) >= memo_cap:
-            raise BudgetExceededError(
-                f"reachability memo exceeded {memo_cap} entries"
-            )
-        failed_memo.add(c)
-        filtered = [f for f in failed_maximal if not all(c[v] >= f[v] for v in range(n))]
-        filtered.append(c)
-        failed_maximal[:] = filtered
-        return False
+        return None
 
-    ok = search(D.counts)
+    # an explicit stack of (state, untried moves, move into the state): a
+    # search can be as deep as the pebble count, far past the interpreter's
+    # recursion limit
+    first = settle(D.counts)
+    ok = bool(first)
+    stack = [] if first is not None else [(D.counts, iter(moves_from(D.counts)), None)]
+    while stack:
+        c, untried, _ = stack[-1]
+        move = next(untried, None)
+        if move is None:
+            if len(failed_memo) >= memo_cap:
+                raise BudgetExceededError(
+                    f"reachability memo exceeded {memo_cap} entries"
+                )
+            failed_memo.add(c)
+            failed_maximal[:] = [
+                f for f in failed_maximal if not all(c[v] >= f[v] for v in range(n))
+            ] + [c]
+            stack.pop()
+            continue
+        v, u = move
+        child = list(c)
+        child[v] -= 2
+        child[u] += 1
+        child = tuple(child)
+        found = settle(child)
+        if found:
+            ok = True
+            path = [m for _, _, m in stack[1:]] + [move]
+            break
+        if found is None:
+            stack.append((child, iter(moves_from(child)), move))
     if want_moves:
         return ok, (MoveSequence(tuple(path)) if ok else None)
     return ok

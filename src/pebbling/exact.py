@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits; exceeding any of them raises BudgetExceededError."""
+    """Resource limits; exceeding any of them raises BudgetExceededError.
+
+    scan_nodes, dfs_nodes and wall_secs are spent over one whole call, all
+    its targets and scan sizes together, not per target or per size.
+    """
 
     max_n: int = 8
     max_pebbles: int = 32
@@ -113,11 +117,17 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 class _GraphArrays:
-    """Per-graph precomputation shared by every scan on that graph."""
+    """Per-call precomputation and budget: every context, scan and decision
+    of one public call shares the graph tables, the deadline, the DFS node
+    box and the scan nodes left."""
 
     def __init__(self, g: Graph, budget: Budget):
         g.require_connected()
         self.g = g
+        self.budget = budget
+        self.deadline = budget.deadline(time.monotonic())
+        self.dfs_box = np.array([budget.dfs_nodes], dtype=np.int64)
+        self.scan_left = budget.scan_nodes
         self.n = g.n
         self.dist = g.distances.astype(np.int64)
         maxd = int(self.dist.max())
@@ -147,6 +157,12 @@ class _GraphArrays:
                 "exceeds 62 bits; lower max_pebbles"
             )
 
+    def check_clock(self, best_lower: int, nodes: int) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError(
+                "wall-clock budget exhausted", best_lower=best_lower, nodes=nodes
+            )
+
     def tree_arrays(self, root: int) -> tuple[np.ndarray, np.ndarray]:
         parent = bfs_parents(self.g, root)
         order = np.array(
@@ -160,7 +176,7 @@ class _TargetContext:
     """Per-target precomputation: anchors, weight tables, move order, trees,
     packed into the one kernel record (layout in the _kernels docstring)."""
 
-    def __init__(self, ga: _GraphArrays, target: np.ndarray, budget: Budget):
+    def __init__(self, ga: _GraphArrays, target: np.ndarray):
         self.ga = ga
         n = ga.n
         target = target.astype(np.int64)
@@ -200,33 +216,20 @@ class _TargetContext:
         dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
         ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
         et = np.array([u for _, u in dir_edges], dtype=np.int64)
-        if ga.kind == 1:
-            torder, tparent = ga.tree_arrays(a0)
-            troot = a0
-            gorders = np.zeros((0, n), dtype=np.int64)
-            gparents = np.zeros((0, n), dtype=np.int64)
-            groots = np.zeros(0, dtype=np.int64)
-        else:
-            torder = np.zeros(n, dtype=np.int64)
-            tparent = np.zeros(n, dtype=np.int64)
-            troot = 0
-            roots = [int(a) for a in anchors[:3]]
-            orders, parents = [], []
-            for r in roots:
-                o, p = ga.tree_arrays(r)
-                orders.append(o)
-                parents.append(p)
-            gorders = np.array(orders, dtype=np.int64)
-            gparents = np.array(parents, dtype=np.int64)
-            groots = np.array(roots, dtype=np.int64)
-        self.memo_keys, memo_stamps = _memo_buffers(budget.memo_bits)
+        # a tree is its own BFS tree, so one table serves the tree oracle;
+        # elsewhere up to three spanning trees give cheap sound accepts
+        roots = [int(a) for a in anchors[: 1 if ga.kind == 1 else 3]]
+        trees = [ga.tree_arrays(r) for r in roots]
+        gorders = np.array([o for o, _ in trees], dtype=np.int64)
+        gparents = np.array([p for _, p in trees], dtype=np.int64)
+        groots = np.array(roots, dtype=np.int64)
+        self.memo_keys, memo_stamps = _memo_buffers(ga.budget.memo_bits)
         self.memo_used = np.zeros(1, dtype=np.int64)
         self.record = (
-            target, anchors, self.tneed, captab, order, bestw, torder, tparent,
-            troot, gorders, gparents, groots, ef, et, n, ga.wint, ga.cycpos,
-            ga.base, self.memo_keys, memo_stamps, _next_epoch(), self.memo_used,
+            target, anchors, self.tneed, captab, order, bestw, gorders, gparents,
+            groots, ef, et, n, ga.wint, ga.cycpos, ga.base, self.memo_keys,
+            memo_stamps, _next_epoch(), self.memo_used,
         )
-        self.dfs_box = np.array([budget.dfs_nodes], dtype=np.int64)
 
     def refusal(self) -> str:
         """Which DFS cap a refused decision tripped."""
@@ -234,19 +237,10 @@ class _TargetContext:
             return "DFS memo full; raise memo_bits"
         return "DFS node budget exhausted"
 
-    def scan(self, s: int, budget: Budget) -> tuple[int, np.ndarray | None, int]:
-        """Search for an unsolvable distribution of size s."""
-        witness = np.zeros(self.ga.n, dtype=np.int64)
-        code, nodes, _ = K.witness_scan(
-            self.ga.kind, self.record, s, budget.scan_nodes, int(self.dfs_box[0]),
-            witness,
-        )
-        return code, witness if code == K.FOUND else None, int(nodes)
-
     def decide(self, counts: np.ndarray) -> bool:
         """Exact: does counts cover the target? (Kernel-backed.)"""
         code = K._decide_solvable(
-            counts.astype(np.int64), self.ga.kind, self.record, self.dfs_box
+            counts.astype(np.int64), self.ga.kind, self.record, self.ga.dfs_box
         )
         if code == K.REFUSED:
             raise BudgetExceededError(self.refusal())
@@ -357,47 +351,39 @@ def _guaranteed_witness(tc: _TargetContext) -> tuple[int, np.ndarray]:
 
 
 def _min_size_for_target(
-    ga: _GraphArrays,
-    target: np.ndarray,
-    budget: Budget,
-    deadline: float | None,
+    ga: _GraphArrays, target: np.ndarray
 ) -> tuple[int, np.ndarray, int]:
     """Smallest k such that every distribution of size k covers the target;
     also returns a maximal witness (size k - 1) and the enumeration count."""
-    anchors = np.nonzero(target)[0]
-    if ga.kind == 1 and anchors.size == 1:
-        r = int(anchors[0])
+    tc = _TargetContext(ga, target)
+    if ga.kind == 1 and tc.anchors.size == 1:
+        r = int(tc.anchors[0])
         value, witness, states = _tree_rooted_scan(ga.g, r, int(target[r]))
-        tc = _TargetContext(ga, target, budget)
         if value > 1:
             assert not tc.decide(witness), "tree DP witness must be unsolvable"
         return value, witness, states
-    tc = _TargetContext(ga, target, budget)
     s0, witness = _guaranteed_witness(tc)
     if s0 - 1 > 0:
         assert not tc.decide(witness), "weight-bound witness must be unsolvable"
     enumerated = 0
     s = s0
     while True:
-        if s > budget.max_pebbles:
+        if s > ga.budget.max_pebbles:
             raise BudgetExceededError(
-                f"scan reached |D|={s} > max_pebbles={budget.max_pebbles}",
+                f"scan reached |D|={s} > max_pebbles={ga.budget.max_pebbles}",
                 best_lower=s,
                 nodes=enumerated,
             )
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                "wall-clock budget exhausted",
-                best_lower=s,
-                nodes=enumerated,
-            )
-        code, found, nodes = tc.scan(s, budget)
-        enumerated += nodes
+        ga.check_clock(s, enumerated)
+        found = np.zeros(ga.n, dtype=np.int64)
+        code, nodes = K.witness_scan(
+            ga.kind, tc.record, s, ga.scan_left, ga.dfs_box, found
+        )
+        ga.scan_left -= int(nodes)
+        enumerated += int(nodes)
         if code == K.REFUSED:
             reason = (
-                "scan node budget exhausted"
-                if nodes > budget.scan_nodes
-                else tc.refusal()
+                "scan node budget exhausted" if ga.scan_left < 0 else tc.refusal()
             )
             raise BudgetExceededError(
                 f"{reason} at |D|={s}",
@@ -434,40 +420,52 @@ def _stat(
     )
 
 
+def _point(n: int, r: int, t: int) -> np.ndarray:
+    """The target of t pebbles on vertex r."""
+    target = np.zeros(n, dtype=np.int64)
+    target[r] = t
+    return target
+
+
+def _worst_target(
+    g: Graph, kind: str, t: int, budget: Budget, targets, root: int | None = None
+) -> PebblingStat:
+    """The largest minimum size over the targets that targets() lists after
+    the budget check, with its witness; one _GraphArrays, and so one budget,
+    serves every target of the call."""
+    started = time.perf_counter()
+    _check_budget(g, t, budget)
+    ga = _GraphArrays(g, budget)
+    best_value, best_witness = -1, None
+    enumerated = 0
+    for target in targets():
+        value, witness, count = _min_size_for_target(ga, target)
+        enumerated += count
+        if value > best_value:
+            best_value, best_witness = value, witness
+    return _stat(g, kind, t, best_value, best_witness, started, enumerated, root)
+
+
 def rooted_pebbling_number(
     g: Graph, r: int, t: int = 1, budget: Budget = Budget()
 ) -> PebblingStat:
     """Smallest k such that every k-pebble distribution can deliver t pebbles
     to the root r."""
-    started = time.perf_counter()
-    _check_budget(g, t, budget)
-    if not (0 <= r < g.n):
-        raise ValueError(f"root {r} out of range")
-    deadline = budget.deadline(time.monotonic())
-    ga = _GraphArrays(g, budget)
-    target = np.zeros(g.n, dtype=np.int64)
-    target[r] = t
-    value, witness, enumerated = _min_size_for_target(ga, target, budget, deadline)
-    return _stat(g, "pi_t_rooted", t, value, witness, started, enumerated, root=r)
+
+    def targets():
+        if not (0 <= r < g.n):
+            raise ValueError(f"root {r} out of range")
+        return [_point(g.n, r, t)]
+
+    return _worst_target(g, "pi_t_rooted", t, budget, targets, root=r)
 
 
 def pebbling_number(g: Graph, t: int = 1, budget: Budget = Budget()) -> PebblingStat:
     """The t-fold pebbling number: worst root, worst distribution."""
-    started = time.perf_counter()
-    _check_budget(g, t, budget)
-    deadline = budget.deadline(time.monotonic())
-    ga = _GraphArrays(g, budget)
-    best_value, best_witness = -1, None
-    enumerated = 0
-    for orbit in vertex_orbits(g):
-        r = orbit[0]
-        target = np.zeros(g.n, dtype=np.int64)
-        target[r] = t
-        value, witness, count = _min_size_for_target(ga, target, budget, deadline)
-        enumerated += count
-        if value > best_value:
-            best_value, best_witness = value, witness
-    return _stat(g, "pi_t", t, best_value, best_witness, started, enumerated)
+    return _worst_target(
+        g, "pi_t", t, budget,
+        lambda: [_point(g.n, orbit[0], t) for orbit in vertex_orbits(g)],
+    )
 
 
 def is_solvable_distribution(
@@ -481,12 +479,9 @@ def is_solvable_distribution(
         raise ValueError("distribution length does not match graph order")
     ga = _GraphArrays(g, budget)
     arr = D.as_array()
-    for r in range(g.n):
-        target = np.zeros(g.n, dtype=np.int64)
-        target[r] = t
-        if not _TargetContext(ga, target, budget).decide(arr):
-            return False
-    return True
+    return all(
+        _TargetContext(ga, _point(g.n, r, t)).decide(arr) for r in range(g.n)
+    )
 
 
 def max_unsolvable_witness(
@@ -509,19 +504,11 @@ def optimal_pebbling_number(
     solvable witness. Ascending size, full enumeration per size."""
     started = time.perf_counter()
     _check_budget(g, t, budget)
-    deadline = budget.deadline(time.monotonic())
     ga = _GraphArrays(g, budget)
-    contexts = []
-    for r in range(g.n):
-        target = np.zeros(g.n, dtype=np.int64)
-        target[r] = t
-        contexts.append(_TargetContext(ga, target, budget))
+    contexts = [_TargetContext(ga, _point(g.n, r, t)) for r in range(g.n)]
     enumerated = 0
     for k in range(t, budget.max_pebbles + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                "wall-clock budget exhausted", best_lower=k, nodes=enumerated
-            )
+        ga.check_clock(k, enumerated)
         for comp in compositions(k, g.n):
             enumerated += 1
             arr = np.array(comp, dtype=np.int64)
@@ -536,16 +523,16 @@ def optimal_pebbling_number(
     )
 
 
-def _orbit_reps_of_targets(g: Graph, t: int) -> list[tuple[int, ...]]:
+def _orbit_reps_of_targets(g: Graph, t: int) -> list[np.ndarray]:
     group = automorphisms(g, limit=50_001)
     if len(group) > 50_000:
         group = None
     seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
+    reps: list[np.ndarray] = []
     for comp in compositions(t, g.n):
         if comp in seen:
             continue
-        reps.append(comp)
+        reps.append(np.array(comp, dtype=np.int64))
         if group is None:
             seen.add(comp)
             continue
@@ -562,18 +549,6 @@ def arbitrary_target_number(
 ) -> PebblingStat:
     """Smallest k such that every k-pebble distribution reaches every target
     of size t (targets range over all weak compositions of t)."""
-    started = time.perf_counter()
-    _check_budget(g, t, budget)
-    deadline = budget.deadline(time.monotonic())
-    ga = _GraphArrays(g, budget)
-    best_value, best_witness = -1, None
-    enumerated = 0
-    for rep in _orbit_reps_of_targets(g, t):
-        target = np.array(rep, dtype=np.int64)
-        value, witness, count = _min_size_for_target(ga, target, budget, deadline)
-        enumerated += count
-        if value > best_value:
-            best_value, best_witness = value, witness
-    return _stat(
-        g, "pi_arbitrary_target", t, best_value, best_witness, started, enumerated
+    return _worst_target(
+        g, "pi_arbitrary_target", t, budget, lambda: _orbit_reps_of_targets(g, t)
     )

@@ -14,7 +14,7 @@ bound on that relaxation. No floating point enters anywhere, so optima like
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -463,13 +463,11 @@ def rationalize_to_integer(
         t = math.lcm(t, v.denominator)
     n = g.n
     D = PebbleDistribution(tuple(int(v * t) for v in sol.assignment[:n]))
-    wide = Budget(
+    wide = replace(
+        budget,
         max_n=max(budget.max_n, n),
         max_t=max(budget.max_t, t),
         max_pebbles=max(budget.max_pebbles, D.size),
-        scan_nodes=budget.scan_nodes,
-        dfs_nodes=budget.dfs_nodes,
-        memo_bits=budget.memo_bits,
     )
     if not is_solvable_distribution(g, D, t, wide):
         raise AssertionError(

@@ -204,6 +204,19 @@ class TestReachability:
         )
         assert is_reachable(g, bigger, target)
 
+    def test_deep_search_stays_off_the_call_stack(self):
+        # The search goes one level deeper per move, and these take well
+        # over a thousand moves: more than the default recursion limit.
+        g = make_family("path", 3)
+        D = PebbleDistribution((2100, 0, 0))
+        assert is_reachable(g, D, PebbleDistribution.point(3, 2, 400))
+        assert is_reachable(
+            make_family("path", 4),
+            PebbleDistribution((4200, 0, 0, 0)),
+            PebbleDistribution.point(4, 3, 500),
+        )
+        assert max_pebbles_to(g, D, 2) == 525
+
 
 class TestDelivery:
     def test_max_pebbles_on_path(self):

@@ -203,6 +203,22 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="node"):
             pebbling_number(g, 1, Budget(scan_nodes=3))
 
+    def test_dfs_node_budget_covers_the_whole_call(self):
+        # pi_2(W_6) = 10 spends 10609 DFS nodes over nine scans, but no
+        # single scan spends 8288 of them.
+        g = make_family("wheel", 6)
+        with pytest.raises(BudgetExceededError, match="DFS node budget"):
+            pebbling_number(g, 2, Budget(dfs_nodes=8288))
+        assert pebbling_number(g, 2).value == 10
+
+    def test_scan_node_budget_covers_the_whole_call(self):
+        # pi(W_5) = 6 takes 657 scan nodes over two root orbits; its largest
+        # single scan takes 324.
+        g = make_family("wheel", 5)
+        with pytest.raises(BudgetExceededError, match="scan node budget"):
+            pebbling_number(g, 1, Budget(scan_nodes=400))
+        assert pebbling_number(g, 1, Budget(scan_nodes=657)).value == 6
+
 
 class TestCompositions:
     def test_counts(self):

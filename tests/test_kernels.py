@@ -144,7 +144,7 @@ class TestDecider:
         t = data.draw(st.integers(min_value=1, max_value=2))
         target = np.zeros(n, dtype=np.int64)
         target[r] = t
-        tc = _TargetContext(_GraphArrays(g, Budget()), target, Budget())
+        tc = _TargetContext(_GraphArrays(g, Budget()), target)
         want = is_reachable(
             g, PebbleDistribution(tuple(c)), PebbleDistribution.point(n, r, t)
         )
