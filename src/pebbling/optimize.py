@@ -1,19 +1,25 @@
 """Distribution/flow optimization models solved in exact rational arithmetic.
 
-The model for a graph has one variable per vertex (pebbles placed there)
-plus, for every root choice and every directed edge, a flow variable for the
-moves sent across that edge while delivering to that root. Net-gain rows say
-each root collects t pebbles and no other vertex is overdrawn. The
-continuous relaxation is solved by a Fraction-arithmetic simplex (largest
-reduced cost pivoting, falling back to Bland's rule after an iteration cap
-so termination is guaranteed); the integer problem by depth-first branch and
-bound on that relaxation. No floating point enters anywhere, so optima like
-16/9 come out exactly.
+Two models describe t-fold delivery to every root. The weight LP has one
+variable per vertex (pebbles placed there) and one row per root r: the
+placement's mass toward r, sum_v D_v 2^-dist(v, r), is at least t. The
+optimal fractional pebbling number comes from it, and so do the bounds of
+the integer branch and bound. The flow model adds, for every root choice and
+every directed edge, a flow variable for the moves sent across that edge
+while delivering to that root; net-gain rows say each root collects t
+pebbles and no other vertex is overdrawn. It serves solve_lp, export_lp,
+solve_ip's reported assignment and rationalize_to_integer, whose flow
+certificate fixes the scaling. Both are solved by a Fraction-arithmetic
+simplex (largest reduced cost pivoting, falling back to Bland's rule after
+an iteration cap so termination is guaranteed); the integer problem by
+depth-first branch and bound on the weight LP. No floating point enters
+anywhere, so optima like 16/9 come out exactly.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -119,6 +125,22 @@ def build_opt_model(g: Graph, t: int, integral: bool) -> LinearProgram:
     )
 
 
+def _weight_rows(
+    g: Graph, t: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Rows sum_v D_v 2^-dist(v, r) >= t, one per root r, scaled by
+    2^(max distance) so every coefficient is an integer. Delivering along
+    shortest paths shows a fractional flow to r exists exactly when this
+    weighted mass reaches t, and no move increases it."""
+    dist = g.distances
+    maxd = int(dist.max())
+    rows = tuple(
+        tuple(1 << (maxd - int(dist[v, r])) for v in range(g.n))
+        for r in range(g.n)
+    )
+    return rows, tuple(t << maxd for _ in range(g.n))
+
+
 # --- exact simplex -----------------------------------------------------------
 
 _ZERO = Fraction(0)
@@ -126,15 +148,24 @@ _ONE = Fraction(1)
 
 
 def _pivot(tab, basis, row, colj):
-    piv = tab[row][colj]
-    inv = _ONE / piv
-    tab[row] = [a * inv for a in tab[row]]
+    """Pivot on tab[row][colj] in place; returns the pivot row's nonzero
+    (column, value) pairs after scaling. Most of a pivot row is zero, and
+    a - f * 0 == a exactly, so only those columns are touched: the tableau
+    is the same as a dense update would give."""
     prow = tab[row]
+    inv = _ONE / prow[colj]
+    nz = []
+    for j, a in enumerate(prow):
+        if a:
+            prow[j] = a = a * inv
+            nz.append((j, a))
     for i, r in enumerate(tab):
-        if i != row and r[colj] != 0:
-            f = r[colj]
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
+        f = r[colj]
+        if f and i != row:
+            for j, b in nz:
+                r[j] -= f * b
     basis[row] = colj
+    return nz
 
 
 def _entering(zrow, ncols, allowed, bland):
@@ -179,12 +210,11 @@ def _run_simplex(tab, basis, zrow, ncols, allowed):
         row = _leaving(tab, basis, colj, m)
         if row is None:
             return "unbounded"
-        _pivot(tab, basis, row, colj)
+        nz = _pivot(tab, basis, row, colj)
         f = zrow[colj]
-        if f != 0:
-            prow = tab[row]
-            for j in range(len(zrow)):
-                zrow[j] -= f * prow[j]
+        if f:
+            for j, b in nz:
+                zrow[j] -= f * b
 
 
 def _solve_rows(
@@ -213,8 +243,9 @@ def _solve_rows(
     # Phase one: drive the artificial total to zero.
     zrow = [_ZERO] * (ncols + 1)
     for line in tab:
-        for j in range(ncols + 1):
-            zrow[j] -= line[j]
+        for j, a in enumerate(line):
+            if a:
+                zrow[j] -= a
     for i in range(m):
         zrow[nvars + m + i] = _ZERO
     allowed = [True] * ncols
@@ -241,9 +272,10 @@ def _solve_rows(
     zrow = list(cost)
     for i, line in enumerate(tab):
         f = cost[basis[i]]
-        if f != 0:
-            for j in range(ncols + 1):
-                zrow[j] -= f * line[j]
+        if f:
+            for j, a in enumerate(line):
+                if a:
+                    zrow[j] -= f * a
     status = _run_simplex(tab, basis, zrow, ncols, allowed)
     if status == "unbounded":
         return "unbounded", None, None
@@ -309,6 +341,9 @@ def solve_ip(
     the move engine can deliver t pebbles to every root, so that decision
     settles the node and flow variables never need branching. The reported
     assignment carries integral flows reconstructed from move witnesses.
+    The budget's deadline covers the whole search and is checked at every
+    node; passing it, or node_budget nodes, raises BudgetExceededError with
+    the incumbent as best_upper.
     """
     if not all(lp.integral):
         raise ValueError("solve_ip expects an integral model")
@@ -324,20 +359,11 @@ def solve_ip(
     best_obj = sum(Fraction(c) * v for c, v in zip(lp.objective, trivial))
     best_x = trivial
     verify_budget = budget if budget is not None else Budget()
+    deadline = verify_budget.deadline(time.monotonic())
 
-    # Bounding works on a placement-only relaxation: delivering along
-    # shortest paths shows a fractional flow for root r exists exactly when
-    # the weighted mass toward r reaches t, and that mass never increases
-    # under integer moves either, so these rows relax the integer problem.
-    # Scaling by 2^(max distance) keeps every coefficient integral.
-    dist = g.distances
-    maxd = int(dist.max())
-    scale = 1 << maxd
-    weight_rows = tuple(
-        tuple(1 << (maxd - int(dist[v, r])) for v in range(nd))
-        for r in range(nd)
-    )
-    weight_rhs = tuple(lp.t * scale for _ in range(nd))
+    # Bounding works on the weight LP: no move, integer or fractional,
+    # increases the weighted mass toward a root, so it relaxes this problem.
+    weight_rows, weight_rhs = _weight_rows(g, lp.t)
     objective = tuple(1 for _ in range(nd))
 
     def bound_rows(bounds, cap):
@@ -365,6 +391,12 @@ def solve_ip(
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"branch-and-bound node budget {node_budget} exhausted",
+                best_upper=int(best_obj),
+                nodes=nodes,
+            )
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                "wall-clock budget exhausted",
                 best_upper=int(best_obj),
                 nodes=nodes,
             )
@@ -435,18 +467,23 @@ def vertex_transitive_m(g: Graph, r: int) -> Fraction:
 
 
 def optimal_fractional_pebbling(g: Graph) -> Fraction:
-    """Optimum of the continuous relaxation at t = 1; cross-checked against
-    the uniform-placement value n/m whenever the graph is vertex-transitive."""
-    sol = solve_lp(build_opt_model(g, 1, integral=False))
-    assert sol.status == "optimal"
+    """Optimal fractional pebbling number: the optimum of the weight LP at
+    t = 1, min sum D_v subject to sum_v D_v 2^-dist(v, r) >= 1 for every
+    root r. It equals the flow model's relaxation with n variables instead
+    of n + 2n|E|. Cross-checked against the uniform-placement value n/m
+    whenever the graph is vertex-transitive."""
+    g.require_connected()
+    rows, rhs = _weight_rows(g, 1)
+    status, value, _ = _solve_rows(rows, rhs, (1,) * g.n, g.n)
+    assert status == "optimal"
     if is_vertex_transitive(g):
         expected = Fraction(g.n) / vertex_transitive_m(g, 0)
-        if sol.objective != expected:
+        if value != expected:
             raise AssertionError(
-                f"transitive cross-check failed: solver {sol.objective}, "
+                f"transitive cross-check failed: solver {value}, "
                 f"uniform placement gives {expected}"
             )
-    return sol.objective
+    return value
 
 
 def rationalize_to_integer(

@@ -57,6 +57,17 @@ class TestCompute:
         assert stat["kind"] == "pi_t" and stat["value"] == 5
         assert sum(stat["witness"]) == 4
 
+    @pytest.mark.parametrize("graph,value", [("path:4", "2"), ("wheel:4", "9/5")])
+    def test_fractional_optimum_json_off_transitive_graphs(
+        self, capsys, graph, value
+    ):
+        code, out, _ = run(
+            capsys, "compute", graph, "--stat", "pi_hat_star", "--format", "json"
+        )
+        assert code == EXIT_PASS
+        stat = json.loads(out)
+        assert stat["kind"] == "pi_hat_star" and stat["value"] == value
+
     def test_csv_references_witness_by_id(self, capsys):
         code, out, _ = run(
             capsys, "compute", "cycle:5", "--stat", "pi", "--format", "csv"

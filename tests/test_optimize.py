@@ -5,6 +5,7 @@ cross-checked against brute-force enumeration before being frozen here.
 """
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from pebbling.catalogs import load_catalog
 from pebbling.engine import PebbleDistribution
 from pebbling.errors import BudgetExceededError
 from pebbling.exact import Budget, is_solvable_distribution, optimal_pebbling_number
-from pebbling.graphs import make_family
+from pebbling.graphs import Graph, GraphError, make_family
 from pebbling.optimize import (
     LpSolution,
     build_opt_model,
@@ -96,6 +97,21 @@ class TestRelaxation:
     def test_known_fractional_optima(self, family, params, expected):
         g = make_family(family, *params)
         assert optimal_fractional_pebbling(g) == expected
+
+    def test_weight_lp_matches_flow_lp_on_catalog(self):
+        # Most of these graphs are not vertex-transitive, so the uniform
+        # cross-check inside optimal_fractional_pebbling says nothing there.
+        graphs = [
+            g for g in load_catalog("connected_up_to_6") if 2 <= g.n <= 5
+        ]
+        assert len(graphs) == 30
+        for g in graphs:
+            flow = solve_lp(build_opt_model(g, 1, integral=False)).objective
+            assert optimal_fractional_pebbling(g) == flow
+
+    def test_disconnected_graph_is_rejected(self):
+        with pytest.raises(GraphError):
+            optimal_fractional_pebbling(Graph(4, [(0, 1), (2, 3)]))
 
     def test_solution_rechecks_every_row_exactly(self):
         lp = build_opt_model(make_family("cycle", 5), 1, integral=False)
@@ -219,6 +235,51 @@ class TestIntegerOptimum:
         lp = build_opt_model(make_family("cycle", 5), 1, integral=True)
         with pytest.raises(BudgetExceededError, match="node budget"):
             solve_ip(lp, node_budget=1)
+
+    def test_wall_clock_budget_refusal(self):
+        # The full solve takes over 40x this deadline.
+        lp = build_opt_model(make_family("cycle", 6), 1, integral=True)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="wall-clock") as info:
+            solve_ip(lp, budget=Budget(wall_secs=0.05))
+        assert time.monotonic() - started < 1.0
+        assert 4 <= info.value.best_upper <= 6
+        assert info.value.nodes >= 1
+
+
+class TestPivotPath:
+    """Whole assignments frozen from the dense-pivot simplex. The simplex
+    picks among many optimal vertices, so these pin its pivot path, which
+    rationalize_to_integer's scaling depends on."""
+
+    def test_flow_assignments_are_unchanged(self):
+        cycle4 = solve_lp(build_opt_model(make_family("cycle", 4), 1, integral=False))
+        assert cycle4.to_json() == {
+            "status": "optimal",
+            "objective": "16/9",
+            "assignment": ["4/9"] * 4 + [
+                "0", "0", "1/3", "0", "2/9", "0", "2/9", "0",
+                "2/9", "0", "0", "0", "1/3", "0", "0", "2/9",
+                "2/9", "0", "0", "1/3", "0", "0", "0", "2/9",
+                "0", "2/9", "0", "2/9", "0", "1/3", "0", "0",
+            ],
+        }
+        k3 = solve_lp(build_opt_model(make_family("complete", 3), 1, integral=False))
+        assert k3.to_json() == {
+            "status": "optimal",
+            "objective": "3/2",
+            "assignment": ["1/2"] * 3 + [
+                "0", "0", "1/4", "0", "1/4", "0", "1/4", "0", "0",
+                "0", "0", "1/4", "0", "1/4", "0", "1/4", "0", "0",
+            ],
+        }
+
+    def test_integer_assignment_is_unchanged(self):
+        sol = solve_ip(build_opt_model(make_family("complete", 4), 2, integral=True))
+        want = [0] * 52
+        want[1] = 4
+        want[7] = want[32] = want[45] = 2
+        assert sol.assignment == tuple(F(v) for v in want)
 
 
 class TestRationalization:
