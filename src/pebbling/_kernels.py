@@ -16,12 +16,15 @@ Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
 
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
-(target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+(target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
  ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used).
-Row j of gorders/gparents/groots is the BFS tree at anchor j; on a tree the
-one row, at the first anchor, is the graph itself and serves the tree
-oracle. memo_used counts the memo entries stored under this target's epoch,
-over every scan and decision, so the load guard in _memo_add sees them all.
+torders and tparents are the graph's n-row tree tables, shared by every
+target of a call: row r is the BFS tree rooted at r, as its vertices deepest
+first and the parent of each. The kernels pick rows by groots, the roots of
+the trees this target folds over; on a tree the one root, the first anchor,
+gives the graph itself and serves the tree oracle. memo_used counts the memo
+entries stored under this target's epoch, over every scan and decision, so
+the load guard in _memo_add sees them all.
 The scan-node budget and the DFS node box belong to the caller and are
 spent over a whole public call.
 """
@@ -265,13 +268,12 @@ def _decide_solvable(counts, kind, record, dfs_box):
     """1 if counts covers target, 0 if not, -1 refused. Exact for every kind:
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
-    (target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+    (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
      ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
      memo_used) = record
     if kind == 1:
-        return tree_multi_feasible(
-            gorders[0], gparents[0], groots[0], counts, target
-        )
+        r = groots[0]
+        return tree_multi_feasible(torders[r], tparents[r], r, counts, target)
     if kind == 2:
         return cycle_feasible(cycpos, counts, target)
     # containment
@@ -296,7 +298,8 @@ def _decide_solvable(counts, kind, record, dfs_box):
             return FOUND
     # spanning-tree folds are sound accepts (tree edges are graph edges)
     for j in range(groots.shape[0]):
-        if tree_multi_feasible(gorders[j], gparents[j], groots[j], counts, target):
+        r = groots[j]
+        if tree_multi_feasible(torders[r], tparents[r], r, counts, target):
             return FOUND
     return dfs_decide(
         n, ef, et, target, anchors, wint, tneed, counts, base,
@@ -317,7 +320,7 @@ def witness_scan(kind, record, s, scan_budget, dfs_box, witness_out):
     Returns (code, scan_nodes); the witness, when found, is written to
     witness_out. Decisions draw on the caller's DFS node box dfs_box.
     """
-    (target, anchors, tneed, captab, order, bestw, gorders, gparents, groots,
+    (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
      ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
      memo_used) = record
     counts = np.zeros(n, dtype=np.int64)

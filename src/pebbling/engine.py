@@ -7,9 +7,9 @@ cross-check the two against each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -186,9 +186,15 @@ def weight(
 
 
 def _scaled_weights(g: Graph) -> tuple[np.ndarray, int]:
+    """(W, maxd): W[v, r] = 2**(maxd - dist(v, r)) with maxd the diameter,
+    so weight(D, r) * 2**maxd is exact integer arithmetic over column r.
+    int64 while every entry fits (diameter <= 62), else Python ints."""
     dist = g.distances
     maxd = int(dist.max())
-    return (np.int64(1) << (maxd - dist.astype(np.int64))), maxd
+    if maxd <= 62:
+        return (np.int64(1) << (maxd - dist.astype(np.int64))), maxd
+    rows = [[1 << (maxd - d) for d in row] for row in dist.tolist()]
+    return np.array(rows, dtype=object), maxd
 
 
 def is_reachable(
@@ -345,8 +351,7 @@ def tree_move_cost(
     order = sorted(range(n), key=lambda v: -int(dist[r, v]))
     for v in order:
         if v != r:
-            parent = next(u for u in tree.neighbors(v) if dist[r, u] < dist[r, v])
-            children[parent].append(v)
+            children[int(tree.parents[r, v])].append(v)
 
     counts = list(D.counts)
     fold = [0] * n

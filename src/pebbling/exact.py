@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from pebbling import _kernels as K
-from pebbling.engine import PebbleDistribution
+from pebbling.engine import PebbleDistribution, _scaled_weights
 from pebbling.errors import BudgetExceededError
-from pebbling.graphs import Graph, automorphisms, bfs_parents, serialize_graph6, vertex_orbits
+from pebbling.graphs import Graph, automorphisms, serialize_graph6, vertex_orbits
 
 __all__ = [
     "Budget",
@@ -119,7 +119,8 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 class _GraphArrays:
     """Per-call precomputation and budget: every context, scan and decision
     of one public call shares the graph tables, the deadline, the DFS node
-    box and the scan nodes left."""
+    box and the scan nodes left. The tree tables hold, for every root, the
+    graph's BFS tree (tparents) and its vertices deepest first (torders)."""
 
     def __init__(self, g: Graph, budget: Budget):
         g.require_connected()
@@ -130,9 +131,13 @@ class _GraphArrays:
         self.scan_left = budget.scan_nodes
         self.n = g.n
         self.dist = g.distances.astype(np.int64)
-        maxd = int(self.dist.max())
-        self.maxd = maxd
-        self.wint = (np.int64(1) << (maxd - self.dist)).astype(np.int64)
+        self.wint, maxd = _scaled_weights(g)
+        if self.wint.dtype == object:
+            raise BudgetExceededError(
+                f"diameter {maxd} overflows the kernels' 64-bit weights"
+            )
+        self.tparents = g.parents
+        self.torders = np.argsort(-self.dist, axis=1, kind="stable")
         if len(g.edges) == g.n - 1:
             self.kind = 1
         elif g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
@@ -153,8 +158,8 @@ class _GraphArrays:
         self.base = budget.max_pebbles + 2
         if self.kind == 0 and self.base**self.n >= 1 << 62:
             raise BudgetExceededError(
-                f"state packing for n={self.n}, max_pebbles={budget.max_pebbles} "
-                "exceeds 62 bits; lower max_pebbles"
+                f"state packing for n={self.n} with up to {budget.max_pebbles} "
+                "pebbles exceeds 62 bits"
             )
 
     def check_clock(self, best_lower: int, nodes: int) -> None:
@@ -163,18 +168,11 @@ class _GraphArrays:
                 "wall-clock budget exhausted", best_lower=best_lower, nodes=nodes
             )
 
-    def tree_arrays(self, root: int) -> tuple[np.ndarray, np.ndarray]:
-        parent = bfs_parents(self.g, root)
-        order = np.array(
-            sorted(range(self.n), key=lambda v: -int(self.dist[root, v])),
-            dtype=np.int64,
-        )
-        return order, parent
-
 
 class _TargetContext:
-    """Per-target precomputation: anchors, weight tables, move order, trees,
-    packed into the one kernel record (layout in the _kernels docstring)."""
+    """Per-target precomputation: anchors, weight tables, move order and the
+    tree roots, packed into the one kernel record (layout in the _kernels
+    docstring)."""
 
     def __init__(self, ga: _GraphArrays, target: np.ndarray):
         self.ga = ga
@@ -216,19 +214,15 @@ class _TargetContext:
         dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
         ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
         et = np.array([u for _, u in dir_edges], dtype=np.int64)
-        # a tree is its own BFS tree, so one table serves the tree oracle;
+        # a tree is its own BFS tree, so one root serves the tree oracle;
         # elsewhere up to three spanning trees give cheap sound accepts
-        roots = [int(a) for a in anchors[: 1 if ga.kind == 1 else 3]]
-        trees = [ga.tree_arrays(r) for r in roots]
-        gorders = np.array([o for o, _ in trees], dtype=np.int64)
-        gparents = np.array([p for _, p in trees], dtype=np.int64)
-        groots = np.array(roots, dtype=np.int64)
+        groots = anchors[: 1 if ga.kind == 1 else 3]
         self.memo_keys, memo_stamps = _memo_buffers(ga.budget.memo_bits)
         self.memo_used = np.zeros(1, dtype=np.int64)
         self.record = (
-            target, anchors, self.tneed, captab, order, bestw, gorders, gparents,
-            groots, ef, et, n, ga.wint, ga.cycpos, ga.base, self.memo_keys,
-            memo_stamps, _next_epoch(), self.memo_used,
+            target, anchors, self.tneed, captab, order, bestw, ga.torders,
+            ga.tparents, groots, ef, et, n, ga.wint, ga.cycpos, ga.base,
+            self.memo_keys, memo_stamps, _next_epoch(), self.memo_used,
         )
 
     def refusal(self) -> str:
@@ -281,8 +275,7 @@ def _tree_rooted_scan(
     children: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if v != r:
-            parent = next(u for u in g.neighbors(v) if depth[u] < depth[v])
-            children[parent].append(v)
+            children[int(g.parents[r, v])].append(v)
     cap = [(1 << depth[v]) * t - 1 for v in range(n)]
     cap[r] = t - 1
     h: dict[int, list[int]] = {}
@@ -477,7 +470,10 @@ def is_solvable_distribution(
         raise ValueError("t must be >= 1")
     if len(D) != g.n:
         raise ValueError("distribution length does not match graph order")
-    ga = _GraphArrays(g, budget)
+    # the memo packs states in base max_pebbles + 2, which must exceed every
+    # count a search from D can hold
+    wide = replace(budget, max_pebbles=max(budget.max_pebbles, D.size))
+    ga = _GraphArrays(g, wide)
     arr = D.as_array()
     return all(
         _TargetContext(ga, _point(g.n, r, t)).decide(arr) for r in range(g.n)
@@ -501,16 +497,23 @@ def optimal_pebbling_number(
     g: Graph, t: int = 1, budget: Budget = Budget()
 ) -> PebblingStat:
     """Smallest size of any t-fold solvable distribution, with a minimal
-    solvable witness. Ascending size, full enumeration per size."""
+    solvable witness. Ascending size, full enumeration per size; each
+    composition tried is one scan node of the budget."""
     started = time.perf_counter()
     _check_budget(g, t, budget)
     ga = _GraphArrays(g, budget)
     contexts = [_TargetContext(ga, _point(g.n, r, t)) for r in range(g.n)]
     enumerated = 0
     for k in range(t, budget.max_pebbles + 1):
-        ga.check_clock(k, enumerated)
         for comp in compositions(k, g.n):
+            ga.check_clock(k, enumerated)
             enumerated += 1
+            if enumerated > budget.scan_nodes:
+                raise BudgetExceededError(
+                    f"scan node budget exhausted at |D|={k}",
+                    best_lower=k,
+                    nodes=enumerated,
+                )
             arr = np.array(comp, dtype=np.int64)
             if all(tc.decide(arr) for tc in contexts):
                 return _stat(

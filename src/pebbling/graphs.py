@@ -1,8 +1,9 @@
 """Graph primitives: immutable graphs, BFS metrics, named families, graph6 I/O.
 
 Vertices are dense integers 0..n-1; optional display names ride along in a
-side table. Distances are computed eagerly on construction (every pebbling
-routine hits them) and exposed read-only.
+side table. Distances and BFS-tree parents from every root are computed
+eagerly on construction, in one BFS per root (every pebbling routine hits
+them), and exposed read-only.
 """
 from __future__ import annotations
 
@@ -56,10 +57,11 @@ class Graph:
     Disconnected graphs are representable (graph6 round-trips need them);
     metric queries and everything downstream that assumes connectivity go
     through :func:`distance_matrix` / :meth:`require_connected`, which reject
-    disconnected input naming an unreachable pair.
+    disconnected input naming an unreachable pair. Distances and the BFS
+    tree at every root are computed once, on construction.
     """
 
-    __slots__ = ("n", "_edges", "_neighbors", "_dist", "_names")
+    __slots__ = ("n", "_edges", "_neighbors", "_dist", "_parents", "_names")
 
     def __init__(
         self,
@@ -89,25 +91,28 @@ class Graph:
             self._names = tuple(str(x) for x in names)
         else:
             self._names = None
-        self._dist = self._all_pairs_bfs()
+        self._dist, self._parents = self._all_pairs_bfs()
         self._dist.setflags(write=False)
+        self._parents.setflags(write=False)
 
-    def _all_pairs_bfs(self) -> np.ndarray:
+    def _all_pairs_bfs(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
-        dist = np.full((n, n), -1, dtype=np.int64)
+        dist = [[-1] * n for _ in range(n)]
+        parents = [[-1] * n for _ in range(n)]
         for s in range(n):
-            dist[s, s] = 0
+            ds, ps = dist[s], parents[s]
+            ds[s] = 0
             queue = [s]
             while queue:
                 nxt: list[int] = []
                 for u in queue:
-                    du = dist[s, u]
                     for w in self._neighbors[u]:
-                        if dist[s, w] < 0:
-                            dist[s, w] = du + 1
+                        if ds[w] < 0:
+                            ds[w] = ds[u] + 1
+                            ps[w] = u
                             nxt.append(w)
                 queue = nxt
-        return dist
+        return np.array(dist, dtype=np.int64), np.array(parents, dtype=np.int64)
 
     # -- basic queries -------------------------------------------------
 
@@ -132,6 +137,13 @@ class Graph:
     def distances(self) -> np.ndarray:
         """All-pairs hop distances, -1 for unreachable pairs. Read-only."""
         return self._dist
+
+    @property
+    def parents(self) -> np.ndarray:
+        """parents[r, v]: the vertex that discovers v in the BFS from r, with
+        neighbours taken in ascending order; -1 for v = r and for vertices r
+        cannot reach. Row r is the BFS tree rooted at r. Read-only."""
+        return self._parents
 
     @property
     def is_connected(self) -> bool:
@@ -181,24 +193,14 @@ def diameter(g: Graph) -> int:
 
 
 def bfs_parents(g: Graph, r: int) -> np.ndarray:
-    """Parent array of the BFS tree rooted at r (parent[r] = -1).
+    """Parent array of the BFS tree rooted at r (parent[r] = -1): row r of
+    the read-only `Graph.parents`.
 
     Deterministic: vertices are discovered in ascending neighbor order, so the
     same graph and root always yield the same tree.
     """
     g.require_connected()
-    parent = np.full(g.n, -2, dtype=np.int64)
-    parent[r] = -1
-    queue = [r]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for w in g.neighbors(u):
-                if parent[w] == -2:
-                    parent[w] = u
-                    nxt.append(w)
-        queue = nxt
-    return parent
+    return g.parents[r]
 
 
 def bfs_spanning_tree(g: Graph, r: int) -> Graph:

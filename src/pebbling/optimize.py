@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from pebbling.engine import PebbleDistribution
+from pebbling.engine import PebbleDistribution, _scaled_weights, weight
 from pebbling.errors import BudgetExceededError
 from pebbling.exact import Budget, is_solvable_distribution
 from pebbling.graphs import Graph, is_vertex_transitive
@@ -129,16 +129,12 @@ def _weight_rows(
     g: Graph, t: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Rows sum_v D_v 2^-dist(v, r) >= t, one per root r, scaled by
-    2^(max distance) so every coefficient is an integer. Delivering along
-    shortest paths shows a fractional flow to r exists exactly when this
-    weighted mass reaches t, and no move increases it."""
-    dist = g.distances
-    maxd = int(dist.max())
-    rows = tuple(
-        tuple(1 << (maxd - int(dist[v, r])) for v in range(g.n))
-        for r in range(g.n)
-    )
-    return rows, tuple(t << maxd for _ in range(g.n))
+    2^(max distance): row r is column r of the engine's integer weight
+    table. Delivering along shortest paths shows a fractional flow to r
+    exists exactly when this weighted mass reaches t, and no move increases
+    it."""
+    wint, maxd = _scaled_weights(g)
+    return tuple(map(tuple, wint.T.tolist())), tuple(t << maxd for _ in range(g.n))
 
 
 # --- exact simplex -----------------------------------------------------------
@@ -456,14 +452,10 @@ def solve_ip(
 
 
 def vertex_transitive_m(g: Graph, r: int) -> Fraction:
-    """Total pebble mass a uniform unit placement aims at r: the sum over
-    vertices of 2^-dist(v, r). Constant over r exactly on vertex-transitive
-    graphs."""
-    g.require_connected()
-    dist = g.distances
-    return sum(
-        (Fraction(1, 1 << int(dist[v, r])) for v in range(g.n)), _ZERO
-    )
+    """Total pebble mass a uniform unit placement aims at r: the weight
+    toward r of one pebble on every vertex, sum_v 2^-dist(v, r). Constant
+    over r exactly on vertex-transitive graphs."""
+    return weight(PebbleDistribution((1,) * g.n), r, g)
 
 
 def optimal_fractional_pebbling(g: Graph) -> Fraction:
@@ -498,15 +490,8 @@ def rationalize_to_integer(
     t = 1
     for v in sol.assignment:
         t = math.lcm(t, v.denominator)
-    n = g.n
-    D = PebbleDistribution(tuple(int(v * t) for v in sol.assignment[:n]))
-    wide = replace(
-        budget,
-        max_n=max(budget.max_n, n),
-        max_t=max(budget.max_t, t),
-        max_pebbles=max(budget.max_pebbles, D.size),
-    )
-    if not is_solvable_distribution(g, D, t, wide):
+    D = PebbleDistribution(tuple(int(v * t) for v in sol.assignment[: g.n]))
+    if not is_solvable_distribution(g, D, t, budget):
         raise AssertionError(
             f"scaled distribution {D.counts} is not {t}-fold solvable; "
             "the flow certificate did not survive scaling"

@@ -18,12 +18,13 @@ from pebbling.exact import (
     Budget,
     arbitrary_target_number,
     compositions,
+    is_solvable_distribution,
     max_unsolvable_witness,
     optimal_pebbling_number,
     pebbling_number,
     rooted_pebbling_number,
 )
-from pebbling.graphs import make_family
+from pebbling.graphs import make_family, parse_graph6
 
 WIDE = Budget(max_pebbles=80)
 
@@ -218,6 +219,37 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="scan node budget"):
             pebbling_number(g, 1, Budget(scan_nodes=400))
         assert pebbling_number(g, 1, Budget(scan_nodes=657)).value == 6
+
+    def test_optimal_number_spends_scan_nodes(self):
+        # pi*(C_5) = 4 is found at the 56th composition tried; the 11th is
+        # of size 2, after every size-1 placement failed
+        g = make_family("cycle", 5)
+        with pytest.raises(BudgetExceededError, match="scan node budget") as exc:
+            optimal_pebbling_number(g, 1, Budget(scan_nodes=10))
+        assert exc.value.best_lower == 2
+        assert optimal_pebbling_number(g, 1, Budget(scan_nodes=56)).value == 4
+
+    def test_decision_beyond_max_pebbles(self):
+        # the memo's state packing must cover D's size, not just max_pebbles
+        g = parse_graph6("EznW")
+        D = PebbleDistribution((4, 0, 1, 0, 1, 0))
+        assert is_t_fold_solvable(g, D, 2)
+        assert is_solvable_distribution(g, D, 2, Budget(max_pebbles=0))
+
+    def test_decision_packing_refusal_names_the_size(self):
+        # on a general graph the packing base follows D's size, so the
+        # refusal must name that size rather than max_pebbles
+        g = parse_graph6("EznW")
+        D = PebbleDistribution((1500,) + (0,) * 5)
+        with pytest.raises(BudgetExceededError, match="up to 1500 pebbles"):
+            is_solvable_distribution(g, D, 1, Budget(max_pebbles=0))
+
+    def test_diameter_past_62_is_refused(self):
+        # 2^63 does not fit the kernels' int64 weight table
+        g = make_family("path", 64)
+        D = PebbleDistribution((1 << 62,) + (0,) * 63)
+        with pytest.raises(BudgetExceededError, match="diameter 63"):
+            is_solvable_distribution(g, D, 1, Budget(max_n=64))
 
 
 class TestCompositions:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pebbling.catalogs import load_catalog
 from pebbling.graphs import (
     DisconnectedGraphError,
     Graph,
     Graph6Error,
     GraphError,
     automorphisms,
+    bfs_parents,
     bfs_spanning_tree,
     diameter,
     distance_matrix,
@@ -54,8 +56,9 @@ class TestConstruction:
 
     def test_distances_read_only(self):
         g = make_family("path", 3)
-        with pytest.raises(ValueError):
-            g.distances[0, 0] = 5
+        for table in (g.distances, g.parents):
+            with pytest.raises(ValueError):
+                table[0, 0] = 5
 
 
 class TestDistances:
@@ -124,6 +127,29 @@ class TestBfsSpanningTree:
             t = bfs_spanning_tree(g, r)
             assert (t.distances[r] == g.distances[r]).all()
             assert len(t.edges) == g.n - 1
+
+
+class TestParents:
+    @staticmethod
+    def reference_bfs(g, r):
+        parent = [-1] * g.n
+        seen = {r}
+        queue = [r]
+        for u in queue:
+            for w in sorted(g.neighbors(u)):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = u
+                    queue.append(w)
+        return parent
+
+    @pytest.mark.parametrize("catalog", ["connected_up_to_6", "trees_up_to_8"])
+    def test_rows_are_ascending_neighbour_bfs_trees(self, catalog):
+        for g in load_catalog(catalog):
+            for r in range(g.n):
+                want = self.reference_bfs(g, r)
+                assert g.parents[r].tolist() == want
+                assert bfs_parents(g, r).tolist() == want
 
 
 class TestTransitivity:

@@ -17,6 +17,7 @@ from pebbling.exact import Budget, is_solvable_distribution, optimal_pebbling_nu
 from pebbling.graphs import Graph, GraphError, make_family
 from pebbling.optimize import (
     LpSolution,
+    _weight_rows,
     build_opt_model,
     export_lp,
     optimal_fractional_pebbling,
@@ -112,6 +113,16 @@ class TestRelaxation:
     def test_disconnected_graph_is_rejected(self):
         with pytest.raises(GraphError):
             optimal_fractional_pebbling(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_weight_rows_stay_exact_past_64_bits(self):
+        # diameter 69: the root's own coefficient 2^69 does not fit int64
+        g = make_family("path", 70)
+        dist = g.distances.tolist()
+        rows, rhs = _weight_rows(g, 1)
+        assert rows == tuple(
+            tuple(1 << (69 - dist[v][r]) for v in range(g.n)) for r in range(g.n)
+        )
+        assert rhs == (1 << 69,) * g.n
 
     def test_solution_rechecks_every_row_exactly(self):
         lp = build_opt_model(make_family("cycle", 5), 1, integral=False)

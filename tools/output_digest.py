@@ -1,0 +1,59 @@
+"""Print one sha256 per CLI command over the package's deterministic output.
+
+Runs every `verify` suite and every `conjecture` at --max-n 4 --max-t 2,
+`verify --suite fracopt` at its defaults, and `pebble compute` for every
+--stat (at root 0 for pi_rooted) on a few small graphs, all with --format
+json, and hashes each command's exit code and JSON minus its `elapsed_ms`
+fields. Two checkouts that compute the same answers print the same lines:
+
+    python3 tools/output_digest.py > before.txt   # in one checkout
+    python3 tools/output_digest.py | diff before.txt -   # in the other
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from pebbling.cli import CONJECTURES, STATS, SUITES  # noqa: E402
+
+SMALL = ["--max-n", "4", "--max-t", "2"]
+GRAPHS = ["cycle:5", "wheel:4", "path:4", "hypercube:2"]
+
+
+def commands() -> list[list[str]]:
+    out = [["verify", "--suite", s, *SMALL] for s in SUITES]
+    out += [["conjecture", "--name", c, *SMALL] for c in CONJECTURES]
+    out.append(["verify", "--suite", "fracopt"])
+    root = {"pi_rooted": ["--root", "0"]}
+    return out + [
+        ["compute", g, "--stat", s, *root.get(s, [])] for s in STATS for g in GRAPHS
+    ]
+
+
+def _untimed(obj: dict) -> dict:
+    return {k: v for k, v in obj.items() if k != "elapsed_ms"}
+
+
+def main() -> None:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # conjecture counterexample files land in the scratch working directory
+    with tempfile.TemporaryDirectory() as scratch:
+        for cmd in commands():
+            proc = subprocess.run(
+                [sys.executable, "-m", "pebbling.cli", *cmd, "--format", "json"],
+                env=env, cwd=scratch, capture_output=True, text=True,
+            )
+            out = json.loads(proc.stdout or "null", object_hook=_untimed)
+            body = json.dumps(out, sort_keys=True)
+            digest = hashlib.sha256(f"{proc.returncode}\n{body}".encode()).hexdigest()
+            print(f"{digest}  {' '.join(cmd)}")
+
+
+if __name__ == "__main__":
+    main()
