@@ -89,49 +89,53 @@ def cycle_feasible(cycpos, c, target):
     """Decide whether c covers target on a cycle (vertices in ring order
     cycpos[0], cycpos[1], ..., wrapping back to cycpos[0]).
 
-    For each candidate signed flow z on the wrap edge, propagate the maximal
-    feasible signed flow along the path edges: each balance constraint is
-    monotone increasing in the incoming flow and decreasing in the outgoing
-    one, so the greedy maximal trajectory dominates every other choice. Edge
-    flows never need to exceed the total pebble count.
+    A pass fixes the signed flow z on the wrap edge, out of position n-1
+    and into position 0, and sends the greedy maximal signed flow along the
+    path edges: position i has base = c - target plus the flow it receives
+    (sending |prev| backward costs 2|prev|) and passes on base // 2 when
+    base is nonnegative, else base. Each balance constraint is monotone
+    increasing in the incoming flow and decreasing in the outgoing one, so
+    this trajectory dominates every other choice. Let h(z) be the flow the
+    pass would send out of position n-1; that position can pay for the wrap
+    flow z exactly when h(z) >= z, so c covers target exactly when some z
+    has h(z) >= z. Both steps of a pass are nondecreasing in their input,
+    so h is nondecreasing.
+
+    Edge flows never need to exceed the total pebble count, so only z in
+    [-total, total] counts. Starting from z = total and setting z = h(z)
+    while h(z) < z descends to the largest z with h(z) >= z: any such z*
+    at or below the current z stays at or below the next one, since
+    z* <= h(z*) <= h(z). So no feasible z is skipped, z strictly decreases,
+    and the answer is 0 once z falls below -total: the same answer as
+    trying every z in [-total, total], in about two passes instead of up to
+    2 * total + 1.
+
+    Once a backward flow falls below -total, every later base is below the
+    flow it received (c[v] <= total), so h(z) < -total is certain and the
+    pass stops with 0. This also keeps the doubling backward flows inside
+    int64, which large totals on long cycles would otherwise wrap.
     """
     n = c.shape[0]
     total = np.int64(0)
     for i in range(n):
         total += c[i]
-    # try z = 0, 1, -1, 2, -2, ... so solvable instances exit early
-    for step in range(2 * total + 1):
-        z = (step + 1) // 2
-        if step % 2 == 0:
-            z = -z
-        # prev holds the signed flow arriving from the previous ring edge;
-        # the wrap edge plays that role for position 0 and is the fixed
-        # outgoing edge for position n-1
-        ok = True
+    z = total
+    while True:
         prev = z
         for i in range(n):
             v = cycpos[i]
-            base = c[v] - target[v]
             if prev >= 0:
-                base += prev
+                base = c[v] - target[v] + prev
+            elif prev < -total:
+                return 0
             else:
-                base += 2 * prev  # sending |prev| backward costs double
-            if i == n - 1:
-                if z >= 0:
-                    base -= 2 * z  # pays for the wrap send
-                else:
-                    base -= z  # receives |z| over the wrap edge
-                if base < 0:
-                    ok = False
-                break
-            # choose maximal signed flow s toward position i+1
-            if base >= 0:
-                prev = base // 2
-            else:
-                prev = base
-        if ok:
+                base = c[v] - target[v] + 2 * prev
+            prev = base // 2 if base >= 0 else base
+        if prev >= z:
             return 1
-    return 0
+        z = prev
+        if z < -total:
+            return 0
 
 
 @_maybe_jit

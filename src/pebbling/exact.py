@@ -466,8 +466,7 @@ def is_solvable_distribution(
 ) -> bool:
     """True iff D can deliver t pebbles to every vertex, decided by the
     fast kernels (exact tree and cycle oracles, pruned search elsewhere)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_budget(g, t, budget)
     if len(D) != g.n:
         raise ValueError("distribution length does not match graph order")
     # the memo packs states in base max_pebbles + 2, which must exceed every

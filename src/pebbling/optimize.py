@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,7 +339,8 @@ def solve_ip(
     assignment carries integral flows reconstructed from move witnesses.
     The budget's deadline covers the whole search and is checked at every
     node; passing it, or node_budget nodes, raises BudgetExceededError with
-    the incumbent as best_upper.
+    the incumbent as best_upper. The model fixes n and t, so the budget's
+    max_n and max_t are raised to them.
     """
     if not all(lp.integral):
         raise ValueError("solve_ip expects an integral model")
@@ -355,6 +356,11 @@ def solve_ip(
     best_obj = sum(Fraction(c) * v for c, v in zip(lp.objective, trivial))
     best_x = trivial
     verify_budget = budget if budget is not None else Budget()
+    verify_budget = replace(
+        verify_budget,
+        max_n=max(verify_budget.max_n, g.n),
+        max_t=max(verify_budget.max_t, lp.t),
+    )
     deadline = verify_budget.deadline(time.monotonic())
 
     # Bounding works on the weight LP: no move, integer or fractional,
@@ -484,14 +490,16 @@ def rationalize_to_integer(
     """Scale a fractional optimum to integers: t is the least common multiple
     of every assignment denominator (flows included, so the scaled flow
     certificate stays integral), and the placement scales by t. The result
-    is verified t-fold solvable by the move engine; failure is a hard error."""
+    is verified t-fold solvable by the move engine; failure is a hard error.
+    The budget's max_t is raised to that t, which the solution fixes."""
     if sol.status != "optimal" or sol.assignment is None:
         raise ValueError("need an optimal solution with an assignment")
     t = 1
     for v in sol.assignment:
         t = math.lcm(t, v.denominator)
     D = PebbleDistribution(tuple(int(v * t) for v in sol.assignment[: g.n]))
-    if not is_solvable_distribution(g, D, t, budget):
+    wide = replace(budget, max_t=max(budget.max_t, t))
+    if not is_solvable_distribution(g, D, t, wide):
         raise AssertionError(
             f"scaled distribution {D.counts} is not {t}-fold solvable; "
             "the flow certificate did not survive scaling"

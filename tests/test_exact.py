@@ -251,6 +251,15 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="diameter 63"):
             is_solvable_distribution(g, D, 1, Budget(max_n=64))
 
+    def test_decision_respects_max_n_and_max_t(self):
+        g = make_family("path", 9)
+        D = PebbleDistribution((300,) + (0,) * 8)
+        with pytest.raises(BudgetExceededError, match="max_n=3"):
+            is_solvable_distribution(g, D, 5, Budget(max_n=3, max_t=1))
+        with pytest.raises(BudgetExceededError, match="max_t=1"):
+            is_solvable_distribution(g, D, 5, Budget(max_n=9, max_t=1))
+        assert not is_solvable_distribution(g, D, 5, Budget(max_n=9, max_t=5))
+
 
 class TestCompositions:
     def test_counts(self):

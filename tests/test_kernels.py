@@ -71,25 +71,97 @@ class TestTreeKernels:
         assert bool(got) == want
 
 
+def zscan_cycle_feasible(cycpos, c, target):
+    """The cycle oracle as first written, kept as the reference: try every
+    wrap-edge flow z = 0, 1, -1, ..., total, -total and run the greedy pass
+    for each, in unbounded Python ints."""
+    n = len(c)
+    total = sum(int(x) for x in c)
+    for step in range(2 * total + 1):
+        z = (step + 1) // 2
+        if step % 2 == 0:
+            z = -z
+        ok = True
+        prev = z
+        for i in range(n):
+            v = cycpos[i]
+            base = int(c[v]) - int(target[v])
+            if prev >= 0:
+                base += prev
+            else:
+                base += 2 * prev
+            if i == n - 1:
+                if z >= 0:
+                    base -= 2 * z
+                else:
+                    base -= z
+                if base < 0:
+                    ok = False
+                break
+            if base >= 0:
+                prev = base // 2
+            else:
+                prev = base
+        if ok:
+            return 1
+    return 0
+
+
+def target_distributions(n, sizes):
+    return [np.array(t, dtype=np.int64) for s in sizes for t in compositions(s, n)]
+
+
 class TestCycleKernel:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exhaustive_against_engine(self, n):
         g = make_family("cycle", n)
         ga = _GraphArrays(g, Budget())
+        targets = target_distributions(n, (1, 2, 3))
         for total in range(0, 6):
             for c in compositions(total, n):
                 D = PebbleDistribution(c)
-                for r in range(n):
-                    for t in (1, 2):
-                        tgt = np.zeros(n, dtype=np.int64)
-                        tgt[r] = t
-                        got = K.cycle_feasible(
-                            ga.cycpos, np.array(c, dtype=np.int64), tgt
-                        )
-                        want = is_reachable(
-                            g, D, PebbleDistribution.point(n, r, t)
-                        )
-                        assert bool(got) == want, (n, c, r, t)
+                for tgt in targets:
+                    got = K.cycle_feasible(
+                        ga.cycpos, np.array(c, dtype=np.int64), tgt
+                    )
+                    want = is_reachable(
+                        g, D, PebbleDistribution(tuple(int(x) for x in tgt))
+                    )
+                    assert bool(got) == want, (n, c, tgt)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_descent_matches_zscan_exhaustively(self, n):
+        # every distribution of size <= 7 against every target of size 1-3
+        ga = _GraphArrays(make_family("cycle", n), Budget())
+        targets = target_distributions(n, (1, 2, 3))
+        for s in range(8):
+            for comp in compositions(s, n):
+                c = np.array(comp, dtype=np.int64)
+                for tgt in targets:
+                    want = zscan_cycle_feasible(ga.cycpos, c, tgt)
+                    assert K.cycle_feasible(ga.cycpos, c, tgt) == want, (
+                        n, comp, tgt,
+                    )
+
+    def test_descent_matches_zscan_on_random_large_totals(self):
+        rng = np.random.default_rng(20261018)
+        rings = {
+            n: _GraphArrays(make_family("cycle", n), Budget()).cycpos
+            for n in (7, 8, 9)
+        }
+        answers = set()
+        for _ in range(3000):
+            n = int(rng.integers(7, 10))
+            # a Dirichlet spread with small alpha piles pebbles on few
+            # vertices, so both answers occur often
+            c = rng.multinomial(int(rng.integers(0, 61)), rng.dirichlet([0.3] * n))
+            tgt = rng.multinomial(int(rng.integers(1, 5)), [1 / n] * n)
+            c = c.astype(np.int64)
+            tgt = tgt.astype(np.int64)
+            want = zscan_cycle_feasible(rings[n], c, tgt)
+            assert K.cycle_feasible(rings[n], c, tgt) == want, (n, c, tgt)
+            answers.add(want)
+        assert answers == {0, 1}
 
     def test_split_flow_both_ways(self):
         # Covering this target needs flow out of vertex 2 in both ring
@@ -188,3 +260,35 @@ def test_full_memo_refuses_instead_of_hanging():
     )
     assert out.returncode == 0, out.stderr
     assert "memo" in out.stdout
+
+
+def test_cycle_oracle_answers_large_totals_exactly():
+    """On C_{2d} a pile of 2^d pebbles opposite the target is just enough
+    and one fewer is not. Backward flows double at every step, so int64
+    wraps unless a pass stops once a flow falls below -total; trying every
+    wrap flow would take about 2^33 passes on C_64, so a subprocess with a
+    timeout catches a hang."""
+    code = (
+        "import numpy as np\n"
+        "import pebbling._kernels as K\n"
+        "from pebbling.engine import PebbleDistribution\n"
+        "from pebbling.exact import Budget, _GraphArrays,"
+        " is_solvable_distribution\n"
+        "from pebbling.graphs import make_family\n"
+        "g = make_family('cycle', 64)\n"
+        "for s in (2**32 - 1, 2**32):\n"
+        "    D = PebbleDistribution((s,) + (0,) * 63)\n"
+        "    print(is_solvable_distribution(g, D, 1, Budget(max_n=64)))\n"
+        "ga = _GraphArrays(make_family('cycle', 100), Budget())\n"
+        "tgt = np.zeros(100, dtype=np.int64)\n"
+        "tgt[50] = 1\n"
+        "for s in (2**50 - 1, 2**50):\n"
+        "    c = np.zeros(100, dtype=np.int64)\n"
+        "    c[0] = s\n"
+        "    print(K.cycle_feasible(ga.cycpos, c, tgt))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True", "0", "1"]

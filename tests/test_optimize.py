@@ -199,6 +199,8 @@ class TestIntegerOptimum:
             ("complete", (3,), 3, 5),
             ("cycle", (4,), 3, 6),
             ("path", (3,), 3, 5),
+            # t above the default Budget's max_t: the model fixes t
+            ("path", (3,), 5, 9),
         ],
     )
     def test_known_values(self, family, params, t, expected):

@@ -2,9 +2,9 @@
 
 Runs every `verify` suite and every `conjecture` at --max-n 4 --max-t 2,
 `verify --suite fracopt` at its defaults, and `pebble compute` for every
---stat (at root 0 for pi_rooted) on a few small graphs, all with --format
-json, and hashes each command's exit code and JSON minus its `elapsed_ms`
-fields. Two checkouts that compute the same answers print the same lines:
+--stat (at root 0 for pi_rooted) on a few small graphs, plus pi and pi_arb
+at t=3 on cycle:6 and cycle:5, all with --format json, and hashes each
+command's exit code and JSON minus its `elapsed_ms` fields. Two checkouts that compute the same answers print the same lines:
 
     python3 tools/output_digest.py > before.txt   # in one checkout
     python3 tools/output_digest.py | diff before.txt -   # in the other
@@ -31,9 +31,13 @@ def commands() -> list[list[str]]:
     out += [["conjecture", "--name", c, *SMALL] for c in CONJECTURES]
     out.append(["verify", "--suite", "fracopt"])
     root = {"pi_rooted": ["--root", "0"]}
-    return out + [
+    out += [
         ["compute", g, "--stat", s, *root.get(s, [])] for s in STATS for g in GRAPHS
     ]
+    # larger cycles, point and multi-vertex targets, for the cycle oracle
+    out.append(["compute", "cycle:6", "--stat", "pi", "--t", "3"])
+    out.append(["compute", "cycle:5", "--stat", "pi_arb", "--t", "3"])
+    return out
 
 
 def _untimed(obj: dict) -> dict:
