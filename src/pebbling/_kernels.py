@@ -12,7 +12,8 @@ exact int64 arithmetic. All counts in play are small enough that nothing
 approaches overflow.
 
 Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
--1 budget refused.
+-1 budget refused; a scan that has spent the nodes it was given returns -2,
+paused, and resumes from its cursor when called again.
 
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
@@ -52,6 +53,7 @@ def _maybe_jit(fn):
 FOUND = 1
 NONE = 0
 REFUSED = -1
+PAUSED = -2
 
 # multiplicative hash constant: odd, fits in int64, low 63 bits match between
 # wrapped int64 math (numba) and unbounded ints (pure python) after masking
@@ -311,9 +313,21 @@ def _decide_solvable(counts, kind, record, dfs_box):
     )
 
 
+def scan_cursor(n, nanch, s):
+    """A witness_scan cursor at the start of the scan of size s: the
+    position p and the counts, rem_stack, choice and prefw arrays."""
+    rem_stack = np.zeros(n + 1, dtype=np.int64)
+    choice = np.zeros(n + 1, dtype=np.int64)
+    rem_stack[0], choice[0] = s, s + 1
+    counts = np.zeros(n, dtype=np.int64)
+    prefw = np.zeros((n + 1, nanch), dtype=np.int64)
+    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw
+
+
 @_maybe_jit
-def witness_scan(kind, record, s, scan_budget, dfs_box, witness_out):
-    """Search for an unsolvable distribution of size exactly s.
+def witness_scan(kind, record, cursor, scan_budget, dfs_box):
+    """Search for an unsolvable distribution of the size the cursor was
+    made for (scan_cursor), resuming where the cursor stands.
 
     Enumerates weak compositions of s over the vertices in `order` (far from
     the target first, counts descending), pruning every prefix that is
@@ -321,33 +335,30 @@ def witness_scan(kind, record, s, scan_budget, dfs_box, witness_out):
     monotone under adding pebbles) and short-circuiting whole subtrees where
     the weight bound proves every completion unsolvable.
 
-    Returns (code, scan_nodes); the witness, when found, is written to
-    witness_out. Decisions draw on the caller's DFS node box dfs_box.
+    Returns (code, scan_nodes), scan_nodes counting this call's nodes only;
+    on FOUND the cursor's counts hold the witness. Before it would spend a
+    node beyond scan_budget it saves its position in the cursor and returns
+    PAUSED. Decisions draw on the caller's DFS node box dfs_box.
     """
     (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
      ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
      memo_used) = record
-    counts = np.zeros(n, dtype=np.int64)
-    rem_stack = np.zeros(n + 1, dtype=np.int64)
-    choice = np.zeros(n + 1, dtype=np.int64)
+    at, counts, rem_stack, choice, prefw = cursor
     nanch = anchors.shape[0]
-    prefw = np.zeros((n + 1, nanch), dtype=np.int64)
     nodes = np.int64(0)
 
-    p = 0
-    rem_stack[0] = s
-    choice[0] = s + 1
+    p = int(at[0])
     while p >= 0:
+        # the next step spends a node unless it only pops a finished level
+        if nodes >= scan_budget and (p == n - 1 or choice[p] > 0):
+            at[0] = p
+            return PAUSED, nodes
         if p == n - 1:
             v = order[p]
             counts[v] = rem_stack[p]
             nodes += 1
-            if nodes > scan_budget:
-                return REFUSED, nodes
             code = _decide_solvable(counts, kind, record, dfs_box)
             if code == NONE:
-                for x in range(n):
-                    witness_out[x] = counts[x]
                 return FOUND, nodes
             if code == REFUSED:
                 return REFUSED, nodes
@@ -364,22 +375,14 @@ def witness_scan(kind, record, s, scan_budget, dfs_box, witness_out):
         counts[v] = c
         rem = rem_stack[p] - c
         nodes += 1
-        if nodes > scan_budget:
-            return REFUSED, nodes
         for a in range(nanch):
             prefw[p + 1, a] = prefw[p, a] + c * wint[v, anchors[a]]
         # if even the best-placed completion stays under the needed weight at
         # some anchor, every completion is an unsolvable witness
-        emitted = False
         for a in range(nanch):
             if prefw[p + 1, a] + rem * bestw[a, p] < tneed[a]:
                 counts[order[n - 1]] += rem
-                for x in range(n):
-                    witness_out[x] = counts[x]
-                emitted = True
-                break
-        if emitted:
-            return FOUND, nodes
+                return FOUND, nodes
         # a solvable prefix only gets more solvable as the tail is filled in
         code = _decide_solvable(counts, kind, record, dfs_box)
         if code == REFUSED:

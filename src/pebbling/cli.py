@@ -543,17 +543,8 @@ STATS = {
 
 def _cmd_compute(args) -> int:
     g = load_graph(args.graph)
-    budget = Budget(
-        **{
-            key: val
-            for key, val in (
-                ("max_n", args.max_n),
-                ("max_t", args.max_t),
-                ("max_pebbles", args.max_pebbles),
-            )
-            if val
-        }
-    )
+    flags = {key: getattr(args, key) for key in ("max_n", "max_t", "max_pebbles")}
+    budget = Budget(**{key: val for key, val in flags.items() if val is not None})
     stat = STATS[args.stat](g, args, budget)
     if args.format == "json":
         _write_output(json.dumps(stat, indent=2) + "\n", args.out)
@@ -628,10 +619,16 @@ def _add_output_flags(sub, default_format="text"):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_budget_flags(sub):
-    sub.add_argument("--max-n", type=int, dest="max_n")
-    sub.add_argument("--max-t", type=int, dest="max_t")
-    sub.add_argument("--max-pebbles", type=int, dest="max_pebbles")
+    sub.add_argument("--max-n", type=_positive_int, dest="max_n")
+    sub.add_argument("--max-t", type=_positive_int, dest="max_t")
+    sub.add_argument("--max-pebbles", type=_positive_int, dest="max_pebbles")
 
 
 def _add_sweep_flags(sub):
@@ -710,7 +707,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
-    except (GraphError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

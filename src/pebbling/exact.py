@@ -86,6 +86,10 @@ class PebblingStat:
         }
 
 
+# scan nodes between two clock checks when a call has a deadline: 30-70 ms
+# of the pure-Python kernels at 15-35 us a node
+SLICE_NODES = 2048
+
 # one shared memo arena; epochs invalidate stale entries in O(1)
 _MEMO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _EPOCH = [0]
@@ -120,7 +124,8 @@ class _GraphArrays:
     """Per-call precomputation and budget: every context, scan and decision
     of one public call shares the graph tables, the deadline, the DFS node
     box and the scan nodes left. The tree tables hold, for every root, the
-    graph's BFS tree (tparents) and its vertices deepest first (torders)."""
+    graph's BFS tree (tparents) and its vertices deepest first (torders);
+    ef and et list every edge in both directions, from and to."""
 
     def __init__(self, g: Graph, budget: Budget):
         g.require_connected()
@@ -138,6 +143,9 @@ class _GraphArrays:
             )
         self.tparents = g.parents
         self.torders = np.argsort(-self.dist, axis=1, kind="stable")
+        e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        self.ef = np.concatenate([e[:, 0], e[:, 1]])
+        self.et = np.concatenate([e[:, 1], e[:, 0]])
         if len(g.edges) == g.n - 1:
             self.kind = 1
         elif g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
@@ -182,38 +190,15 @@ class _TargetContext:
         if anchors.size == 0:
             raise ValueError("target must place at least one pebble")
         self.anchors = anchors
-        self.tneed = np.array(
-            [
-                int((target * ga.wint[:, a]).sum())
-                for a in anchors
-            ],
-            dtype=np.int64,
-        )
-        captab = np.array(
-            [
-                int((target << ga.dist[v]).sum())
-                for v in range(n)
-            ],
-            dtype=np.int64,
-        )
-        mind = ga.dist[:, anchors].min(axis=1)
-        order = np.array(
-            sorted(range(n), key=lambda v: (-int(mind[v]), v)), dtype=np.int64
-        )
+        wa = ga.wint[:, anchors]
+        self.tneed = target @ wa
+        captab = (target << ga.dist).sum(axis=1)
+        order = np.argsort(-ga.dist[:, anchors].min(axis=1), kind="stable")
         # suffix maxima of anchor weights along the assignment order
         bestw = np.zeros((anchors.size, n), dtype=np.int64)
-        for ai, a in enumerate(anchors):
-            suf = 0
-            for p in range(n - 2, -1, -1):
-                suf = max(suf, int(ga.wint[order[p + 1], a]))
-                bestw[ai, p] = suf
-        a0 = int(anchors[0])
-        dir_edges = [(v, u) for v, u in ga.g.edges] + [
-            (u, v) for v, u in ga.g.edges
-        ]
-        dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
-        ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
-        et = np.array([u for _, u in dir_edges], dtype=np.int64)
+        bestw[:, :-1] = np.maximum.accumulate(wa[order[:0:-1]], axis=0)[::-1].T
+        by_dist = np.lexsort((ga.et, ga.ef, ga.dist[ga.et, anchors[0]]))
+        ef, et = ga.ef[by_dist], ga.et[by_dist]
         # a tree is its own BFS tree, so one root serves the tree oracle;
         # elsewhere up to three spanning trees give cheap sound accepts
         groots = anchors[: 1 if ga.kind == 1 else 3]
@@ -330,17 +315,12 @@ def _guaranteed_witness(tc: _TargetContext) -> tuple[int, np.ndarray]:
     target: piling everything on a farthest vertex stays under the needed
     weight at some anchor."""
     ga = tc.ga
-    best_s0, best_v, best_a = 1, int(tc.anchors[0]), 0
-    for ai, a in enumerate(tc.anchors):
-        minw = int(ga.wint[:, a].min())
-        v = int(np.argmin(ga.wint[:, a]))
-        need = int(tc.tneed[ai])
-        s0 = -(-need // minw)  # ceil
-        if s0 > best_s0:
-            best_s0, best_v, best_a = s0, v, ai
+    wa = ga.wint[:, tc.anchors]
+    sizes = -(-tc.tneed // wa.min(axis=0))  # ceil
+    ai = int(np.argmax(sizes))
     witness = np.zeros(ga.n, dtype=np.int64)
-    witness[best_v] = best_s0 - 1
-    return best_s0, witness
+    witness[np.argmin(wa[:, ai])] = sizes[ai] - 1
+    return int(sizes[ai]), witness
 
 
 def _min_size_for_target(
@@ -367,16 +347,20 @@ def _min_size_for_target(
                 best_lower=s,
                 nodes=enumerated,
             )
-        ga.check_clock(s, enumerated)
-        found = np.zeros(ga.n, dtype=np.int64)
-        code, nodes = K.witness_scan(
-            ga.kind, tc.record, s, ga.scan_left, ga.dfs_box, found
-        )
-        ga.scan_left -= int(nodes)
-        enumerated += int(nodes)
-        if code == K.REFUSED:
+        cursor = K.scan_cursor(ga.n, tc.anchors.size, s)
+        code = K.PAUSED
+        while code == K.PAUSED and ga.scan_left > 0:
+            ga.check_clock(s, enumerated)
+            # with a deadline, scan in slices and check the clock between them
+            give = ga.scan_left
+            if ga.deadline is not None:
+                give = min(give, SLICE_NODES)
+            code, nodes = K.witness_scan(ga.kind, tc.record, cursor, give, ga.dfs_box)
+            ga.scan_left -= int(nodes)
+            enumerated += int(nodes)
+        if code in (K.PAUSED, K.REFUSED):
             reason = (
-                "scan node budget exhausted" if ga.scan_left < 0 else tc.refusal()
+                "scan node budget exhausted" if code == K.PAUSED else tc.refusal()
             )
             raise BudgetExceededError(
                 f"{reason} at |D|={s}",
@@ -385,7 +369,7 @@ def _min_size_for_target(
             )
         if code == K.NONE:
             return s, witness, enumerated
-        witness = found
+        witness = cursor[1]  # the scan's counts, left at the witness
         s += 1
 
 

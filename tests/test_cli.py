@@ -110,6 +110,30 @@ class TestCompute:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "cycles", "--max-n", "0", "--max-t", "1"),
+            ("compute", "cycle:5", "--stat", "pi", "--max-pebbles", "0"),
+            ("verify", "--suite", "cycles", "--max-t", "-1"),
+            ("compute", "cycle:5", "--stat", "pi", "--max-pebbles", "-3"),
+        ],
+    )
+    def test_non_positive_budget_flag_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and "positive" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "cycle:4", "--stat", "pi"),
+            ("export-lp", "cycle:4", "--frac"),
+        ],
+    )
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_USAGE and err.startswith("error:")
+
 
 class TestVerify:
     @pytest.mark.parametrize(

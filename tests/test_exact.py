@@ -6,6 +6,7 @@ distributions small enough to enumerate.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,14 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="scan node budget"):
             pebbling_number(g, 1, Budget(scan_nodes=400))
         assert pebbling_number(g, 1, Budget(scan_nodes=657)).value == 6
+
+    def test_wall_clock_budget_is_checked_within_a_scan(self):
+        # the scan at |D| = 27 on C_7 alone runs for seconds
+        g = make_family("cycle", 7)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
+            pebbling_number(g, 3, Budget(wall_secs=0.5, max_pebbles=80))
+        assert time.monotonic() - started < 2.0
 
     def test_optimal_number_spends_scan_nodes(self):
         # pi*(C_5) = 4 is found at the 56th composition tried; the 11th is

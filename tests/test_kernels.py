@@ -16,8 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pebbling._kernels as K
+from pebbling.catalogs import catalog_names, load_catalog
 from pebbling.engine import PebbleDistribution, is_reachable
-from pebbling.exact import Budget, _GraphArrays, _TargetContext, compositions
+from pebbling.exact import (
+    Budget,
+    _GraphArrays,
+    _TargetContext,
+    compositions,
+    rooted_pebbling_number,
+)
 from pebbling.graphs import Graph, bfs_parents, make_family
 
 
@@ -221,6 +228,85 @@ class TestDecider:
             g, PebbleDistribution(tuple(c)), PebbleDistribution.point(n, r, t)
         )
         assert tc.decide(np.array(c, dtype=np.int64)) == want
+
+
+def loop_context_tables(ga, target):
+    """The context tables as first written, one interpreted loop each, kept
+    as the reference: tneed, captab, order, bestw, ef, et."""
+    n = ga.n
+    anchors = np.nonzero(target)[0].astype(np.int64)
+    tneed = np.array(
+        [int((target * ga.wint[:, a]).sum()) for a in anchors], dtype=np.int64
+    )
+    captab = np.array(
+        [int((target << ga.dist[v]).sum()) for v in range(n)], dtype=np.int64
+    )
+    mind = ga.dist[:, anchors].min(axis=1)
+    order = np.array(
+        sorted(range(n), key=lambda v: (-int(mind[v]), v)), dtype=np.int64
+    )
+    bestw = np.zeros((anchors.size, n), dtype=np.int64)
+    for ai, a in enumerate(anchors):
+        suf = 0
+        for p in range(n - 2, -1, -1):
+            suf = max(suf, int(ga.wint[order[p + 1], a]))
+            bestw[ai, p] = suf
+    a0 = int(anchors[0])
+    dir_edges = [(v, u) for v, u in ga.g.edges] + [(u, v) for v, u in ga.g.edges]
+    dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
+    ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
+    et = np.array([u for _, u in dir_edges], dtype=np.int64)
+    return tneed, captab, order, bestw, ef, et
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_context_tables_match_loop_reference(name):
+    """Point targets at t = 1, 2 on every catalog graph, and every target of
+    size at most 3 on the graphs with n <= 5."""
+    for g in load_catalog(name):
+        ga = _GraphArrays(g, Budget())
+        targets = target_distributions(g.n, (1, 2, 3) if g.n <= 5 else ())
+        for r in range(g.n):
+            targets += [np.eye(1, g.n, r, dtype=np.int64)[0] * t for t in (1, 2)]
+        for target in targets:
+            record = _TargetContext(ga, target).record
+            # tneed, captab, order, bestw, then ef, et
+            got = record[2:6] + record[9:11]
+            for field, want in zip(got, loop_context_tables(ga, target)):
+                assert field.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(field, want)
+
+
+@pytest.mark.parametrize(
+    "family,n,t",
+    [("cycle", 6, 2), ("wheel", 5, 2), ("path", 4, 2), ("hypercube", 3, 1)],
+)
+def test_paused_scan_resumes_where_it_stopped(family, n, t):
+    """A scan run in slices of a few nodes finds the same witness, or the
+    same absence of one, after the same nodes as one uninterrupted scan."""
+    g = make_family(family, n)
+    target = np.zeros(g.n, dtype=np.int64)
+    target[0] = t
+    value = rooted_pebbling_number(g, 0, t, Budget(max_pebbles=80)).value
+    codes = set()
+    for s in range(1, value + 1):
+        runs = []
+        for give in (1 << 30, 1, 7):
+            ga = _GraphArrays(g, Budget())
+            tc = _TargetContext(ga, target)
+            cursor = K.scan_cursor(g.n, tc.anchors.size, s)
+            code, spent = K.PAUSED, 0
+            while code == K.PAUSED:
+                code, nodes = K.witness_scan(
+                    ga.kind, tc.record, cursor, give, ga.dfs_box
+                )
+                assert nodes <= give
+                spent += int(nodes)
+            witness = tuple(cursor[1]) if code == K.FOUND else None
+            runs.append((code, spent, witness))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (s, runs)
+        codes.add(runs[0][0])
+    assert codes == {K.FOUND, K.NONE}
 
 
 def test_pure_python_flag_selects_fallback():
