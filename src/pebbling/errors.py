@@ -17,6 +17,7 @@ class BudgetExceededError(RuntimeError):
         best_upper: int | None = None,
         nodes: int | None = None,
     ):
+        self.reason = message
         self.best_lower = best_lower
         self.best_upper = best_upper
         self.nodes = nodes

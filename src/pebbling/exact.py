@@ -170,7 +170,9 @@ class _GraphArrays:
                 "pebbles exceeds 62 bits"
             )
 
-    def check_clock(self, best_lower: int, nodes: int) -> None:
+    def check_clock(
+        self, best_lower: int | None = None, nodes: int | None = None
+    ) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError(
                 "wall-clock budget exhausted", best_lower=best_lower, nodes=nodes
@@ -449,7 +451,8 @@ def is_solvable_distribution(
     g: Graph, D: PebbleDistribution, t: int = 1, budget: Budget = Budget()
 ) -> bool:
     """True iff D can deliver t pebbles to every vertex, decided by the
-    fast kernels (exact tree and cycle oracles, pruned search elsewhere)."""
+    fast kernels (exact tree and cycle oracles, pruned search elsewhere).
+    The budget's deadline is read before each root's decision."""
     _check_budget(g, t, budget)
     if len(D) != g.n:
         raise ValueError("distribution length does not match graph order")
@@ -458,9 +461,11 @@ def is_solvable_distribution(
     wide = replace(budget, max_pebbles=max(budget.max_pebbles, D.size))
     ga = _GraphArrays(g, wide)
     arr = D.as_array()
-    return all(
-        _TargetContext(ga, _point(g.n, r, t)).decide(arr) for r in range(g.n)
-    )
+    for r in range(g.n):
+        ga.check_clock()
+        if not _TargetContext(ga, _point(g.n, r, t)).decide(arr):
+            return False
+    return True
 
 
 def max_unsolvable_witness(

@@ -3,30 +3,30 @@
 Two models describe t-fold delivery to every root. The weight LP has one
 variable per vertex (pebbles placed there) and one row per root r: the
 placement's mass toward r, sum_v D_v 2^-dist(v, r), is at least t. The
-optimal fractional pebbling number comes from it, and so do the bounds of
-the integer branch and bound. The flow model adds, for every root choice and
-every directed edge, a flow variable for the moves sent across that edge
-while delivering to that root; net-gain rows say each root collects t
-pebbles and no other vertex is overdrawn. It serves solve_lp, export_lp,
-solve_ip's reported assignment and rationalize_to_integer, whose flow
-certificate fixes the scaling. Both are solved by a Fraction-arithmetic
-simplex (largest reduced cost pivoting, falling back to Bland's rule after
-an iteration cap so termination is guaranteed); the integer problem by
-depth-first branch and bound on the weight LP. No floating point enters
-anywhere, so optima like 16/9 come out exactly.
+optimal fractional pebbling number comes from it. The flow model adds, for
+every root choice and every directed edge, a flow variable for the moves
+sent across that edge while delivering to that root; net-gain rows say each
+root collects t pebbles and no other vertex is overdrawn. It serves
+solve_lp, export_lp, solve_ip's reported assignment and
+rationalize_to_integer, whose flow certificate fixes the scaling. Both are
+solved by a Fraction-arithmetic simplex (largest reduced cost pivoting,
+falling back to Bland's rule after an iteration cap so termination is
+guaranteed). The integer optimum is the exact enumeration's optimal
+pebbling number, reported with integral flows from move witnesses and
+checked against the flow model. No floating point enters anywhere, so
+optima like 16/9 come out exactly.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from pebbling.engine import PebbleDistribution, _scaled_weights, weight
+from pebbling.engine import PebbleDistribution, _scaled_weights, is_reachable, weight
 from pebbling.errors import BudgetExceededError
-from pebbling.exact import Budget, is_solvable_distribution
+from pebbling.exact import Budget, is_solvable_distribution, optimal_pebbling_number
 from pebbling.graphs import Graph, is_vertex_transitive
 
 __all__ = [
@@ -65,8 +65,11 @@ class LinearProgram:
             return False
         if any(v < 0 for v in x):
             return False
+        # most of x and of every row is zero; skipping those terms leaves
+        # each sum exact
+        nz = [(j, v) for j, v in enumerate(x) if v]
         return all(
-            sum(a * v for a, v in zip(row, x)) >= b
+            sum(row[j] * v for j, v in nz if row[j]) >= b
             for row, b in zip(self.rows, self.rhs)
         )
 
@@ -305,10 +308,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def _flows_from_moves(lp: LinearProgram, g: Graph, D: PebbleDistribution):
-    """Integral flow assignment realizing D, one move-search witness per
-    root. Only used to report the incumbent; feasibility is re-checked."""
-    from pebbling.engine import is_reachable
-
+    """Integral flow assignment realizing D: one reference-engine move
+    witness per root, each asserted reachable, counted onto that root's arc
+    variables."""
     x = [_ZERO] * len(lp.var_names)
     for v in range(g.n):
         x[v] = Fraction(D[v])
@@ -328,133 +330,40 @@ def solve_ip(
     node_budget: int = 1_000_000,
     budget: Budget | None = None,
 ) -> LpSolution:
-    """Exact integer optimum by depth-first branch and bound over placements.
+    """Exact integer optimum: the enumeration's optimal pebbling number.
 
-    The relaxation is solved exactly, so ceil(bound) prunes without any
-    tolerance; the all-vertices placement (every count equal to t, no flow)
-    seeds the incumbent. Branching fixes placement variables only: once a
-    node pins the whole placement, integral flows exist for it exactly when
-    the move engine can deliver t pebbles to every root, so that decision
-    settles the node and flow variables never need branching. The reported
-    assignment carries integral flows reconstructed from move witnesses.
-    The budget's deadline covers the whole search and is checked at every
-    node; passing it, or node_budget nodes, raises BudgetExceededError with
-    the incumbent as best_upper. The model fixes n and t, so the budget's
-    max_n and max_t are raised to them.
+    exact.optimal_pebbling_number finds the smallest t-fold solvable
+    placement; its flows come from reference-engine move witnesses, so the
+    reported assignment is checked against every row of the model. The
+    model fixes n and t, so the budget's max_n and max_t are raised to them,
+    and max_pebbles to t * n, which the all-vertices placement shows is
+    enough. At most node_budget compositions are tried. A refusal raises
+    BudgetExceededError with the enumeration's lower bound and t * n as the
+    upper bound.
     """
     if not all(lp.integral):
         raise ValueError("solve_ip expects an integral model")
     g = lp.graph
     if g is None:
         raise ValueError("model carries no graph; build it with build_opt_model")
-    nvars = len(lp.var_names)
-    nd = lp.dist_vars
-    trivial = tuple(
-        Fraction(lp.t) if j < nd else _ZERO for j in range(nvars)
+    upper = lp.t * g.n
+    budget = budget if budget is not None else Budget()
+    budget = replace(
+        budget,
+        max_n=max(budget.max_n, g.n),
+        max_t=max(budget.max_t, lp.t),
+        max_pebbles=max(budget.max_pebbles, upper),
+        scan_nodes=min(budget.scan_nodes, node_budget),
     )
-    assert lp.check(trivial), "all-vertices placement must be feasible"
-    best_obj = sum(Fraction(c) * v for c, v in zip(lp.objective, trivial))
-    best_x = trivial
-    verify_budget = budget if budget is not None else Budget()
-    verify_budget = replace(
-        verify_budget,
-        max_n=max(verify_budget.max_n, g.n),
-        max_t=max(verify_budget.max_t, lp.t),
-    )
-    deadline = verify_budget.deadline(time.monotonic())
-
-    # Bounding works on the weight LP: no move, integer or fractional,
-    # increases the weighted mass toward a root, so it relaxes this problem.
-    weight_rows, weight_rhs = _weight_rows(g, lp.t)
-    objective = tuple(1 for _ in range(nd))
-
-    def bound_rows(bounds, cap):
-        rows, rhs = [], []
-        for j, (lo, hi) in bounds.items():
-            if lo > 0:
-                r = [0] * nd
-                r[j] = 1
-                rows.append(tuple(r))
-                rhs.append(lo)
-            if hi is not None:
-                r = [0] * nd
-                r[j] = -1
-                rows.append(tuple(r))
-                rhs.append(-hi)
-        rows.append(tuple(-1 for _ in range(nd)))
-        rhs.append(-cap)
-        return tuple(rows), tuple(rhs)
-
-    stack = [{}]
-    nodes = 0
-    while stack:
-        bounds = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"branch-and-bound node budget {node_budget} exhausted",
-                best_upper=int(best_obj),
-                nodes=nodes,
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                "wall-clock budget exhausted",
-                best_upper=int(best_obj),
-                nodes=nodes,
-            )
-        # Only improvements matter, so cap the placement total at one less
-        # than the incumbent.
-        extra_rows, extra_rhs = bound_rows(bounds, int(best_obj) - 1)
-        status, value, x = _solve_rows(
-            weight_rows + extra_rows, weight_rhs + extra_rhs, objective, nd
-        )
-        if status != "optimal":
-            continue
-        if math.ceil(value) >= best_obj:
-            continue
-        fixed = all(
-            j in bounds and bounds[j][0] == bounds[j][1] for j in range(nd)
-        )
-        if fixed:
-            D = PebbleDistribution(tuple(bounds[j][0] for j in range(nd)))
-            if is_solvable_distribution(g, D, lp.t, verify_budget):
-                cand = Fraction(D.size)
-                if cand < best_obj:
-                    best_obj = cand
-                    best_x = _flows_from_moves(lp, g, D)
-                    assert lp.check(best_x)
-            continue
-        # Branch on the first unpinned placement variable, preferring a
-        # fractional one; three-way split (equal / below / above) so every
-        # child strictly shrinks the box.
-        frac_j = next(
-            (j for j in range(nd) if x[j].denominator != 1), None
-        )
-        j = frac_j
-        if j is None:
-            j = next(
-                jj
-                for jj in range(nd)
-                if jj not in bounds or bounds[jj][0] != bounds[jj][1]
-            )
-        v = int(x[j]) if x[j].denominator == 1 else math.floor(x[j])
-        lo, hi = bounds.get(j, (0, None))
-        if hi is not None and v > hi:
-            v = hi
-        if v < lo:
-            v = lo
-        if v + 1 <= (hi if hi is not None else v + 1):
-            up = dict(bounds)
-            up[j] = (v + 1, hi)
-            stack.append(up)
-        if v - 1 >= lo:
-            down = dict(bounds)
-            down[j] = (lo, v - 1)
-            stack.append(down)
-        eq = dict(bounds)
-        eq[j] = (v, v)
-        stack.append(eq)
-    return LpSolution(status="optimal", objective=best_obj, assignment=best_x)
+    try:
+        stat = optimal_pebbling_number(g, lp.t, budget)
+    except BudgetExceededError as err:
+        raise BudgetExceededError(
+            err.reason, best_lower=err.best_lower, best_upper=upper, nodes=err.nodes
+        ) from err
+    x = _flows_from_moves(lp, g, stat.witness)
+    assert lp.check(x)
+    return LpSolution(status="optimal", objective=Fraction(stat.value), assignment=x)
 
 
 def vertex_transitive_m(g: Graph, r: int) -> Fraction:

@@ -7,7 +7,9 @@ anywhere in this file; one mismatched instance fails the whole check.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 from pebbling import (
@@ -38,6 +40,7 @@ from pebbling import (
     vertex_transitive_m,
 )
 from pebbling.cli import _emit_counterexamples, main
+from pebbling.engine import PebbleDistribution, is_t_fold_solvable
 from pebbling.graphs import diameter
 
 
@@ -159,20 +162,47 @@ def test_06_fractional_optima_exact_values():
     _verdict(6, "fractional optima", bad, f"{len(cases)} instances, two checks each")
 
 
+def _compositions(total: int, parts: int):
+    """Every placement of total pebbles on parts vertices, by stars and bars."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        ends = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
 def test_07_integer_program_matches_enumeration():
-    """Branch and bound agrees with exhaustive enumeration of the optimal
-    t-solvable distribution size on every connected graph up to 5 vertices,
-    t in {1, 2}."""
+    """The integer optimum equals the enumeration's optimal t-solvable
+    distribution size on every connected graph up to 5 vertices, t in
+    {1, 2}, and the reference move engine certifies it on its own: the
+    reported placement is t-fold solvable, every placement of one pebble
+    fewer is not (solvability is monotone in size, so no smaller one is),
+    and the value is at least the LP bound ceil(t * fractional optimum)."""
     bad: list = []
     checked = 0
+    engine_checks = 0
     for g in load_catalog("connected_up_to_6", max_n=5):
+        frac = optimal_fractional_pebbling(g)
         for t in (1, 2):
             sol = solve_ip(build_opt_model(g, t, integral=True))
             want = optimal_pebbling_number(g, t).value
             checked += 1
+            name = serialize_graph6(g)
             if sol.status != "optimal" or sol.objective != want:
-                bad.append((serialize_graph6(g), t, str(sol.objective), want))
-    _verdict(7, "integer optimum equals enumeration", bad, f"{checked} instances")
+                bad.append((name, t, str(sol.objective), want))
+                continue
+            placement = PebbleDistribution(tuple(int(v) for v in sol.assignment[: g.n]))
+            if placement.size != want or not is_t_fold_solvable(g, placement, t):
+                bad.append((name, t, "witness", placement.counts))
+            for comp in _compositions(want - 1, g.n):
+                engine_checks += 1
+                if is_t_fold_solvable(g, PebbleDistribution(comp), t):
+                    bad.append((name, t, "smaller solvable", comp))
+                    break
+            if want < math.ceil(t * frac):
+                bad.append((name, t, "below LP bound", want, str(frac)))
+    _verdict(
+        7, "integer optimum equals enumeration", bad,
+        f"{checked} instances, {engine_checks} engine checks",
+    )
 
 
 def test_08_rationalized_optimum_is_engine_solvable():

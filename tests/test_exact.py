@@ -229,6 +229,11 @@ class TestBudgets:
             pebbling_number(g, 3, Budget(wall_secs=0.5, max_pebbles=80))
         assert time.monotonic() - started < 2.0
 
+    def test_decision_reads_the_clock(self):
+        g = make_family("hypercube", 3)
+        with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
+            is_solvable_distribution(g, PebbleDistribution((1,) * 8), 1, Budget(wall_secs=0))
+
     def test_optimal_number_spends_scan_nodes(self):
         # pi*(C_5) = 4 is found at the 56th composition tried; the 11th is
         # of size 2, after every size-1 placement failed
