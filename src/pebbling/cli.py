@@ -190,7 +190,8 @@ def _targets_instances(max_n, catalog):
 
 def _closed_targets(max_n, catalog):
     # Even cycles and hypercubes additionally pin the closed value 2^D * t.
-    return [_family("cycle", 4), _family("cycle", 6), _family("hypercube", 2)]
+    fams = [_family("cycle", 4), _family("cycle", 6), _family("hypercube", 2)]
+    return [(gid, g) for gid, g in fams if g.n <= max_n]
 
 
 def _fracopt_families(max_n, catalog):
@@ -354,12 +355,14 @@ def _check_gnd(g, t, value):
 @dataclass(frozen=True)
 class Sweep:
     """A verify suite or a conjecture: its (instances, check) parts, run in
-    order; its default (max_n, max_t); and whether each instance gets one
-    row per t in 1..max_t or a single row."""
+    order; its default (max_n, max_t); whether each instance gets one row
+    per t in 1..max_t or a single row; and whether any part reads
+    --catalog (a sweep with fixed instances refuses the flag)."""
 
     parts: tuple
     defaults: tuple[int, int]
     per_t: bool = True
+    reads_catalog: bool = True
 
 
 _TREES = _catalog("trees_up_to_8", min_n=2)
@@ -368,7 +371,7 @@ _CONNECTED_2 = _catalog("connected_up_to_6", min_n=2)
 
 SUITES = {
     "trees": Sweep(((_TREES, _check_trees),), (8, 3)),
-    "cycles": Sweep(((_cycles, _check_cycles),), (8, 3)),
+    "cycles": Sweep(((_cycles, _check_cycles),), (8, 3), reads_catalog=False),
     "radius": Sweep(((_CONNECTED_2, _check_radius),), (6, 2)),
     "diam2": Sweep(
         ((_catalog("connected_up_to_6", min_n=2, diam=2), _check_diam2),), (6, 3)
@@ -384,6 +387,7 @@ SUITES = {
         ((_fracopt_families, _check_fracopt), (_round_trips, _check_round_trip)),
         (8, 1),
         per_t=False,
+        reads_catalog=False,
     ),
 }
 
@@ -396,6 +400,8 @@ CONJECTURES = {
 
 
 def _run_sweep(name: str, sweep: Sweep, args) -> VerificationReport:
+    if args.catalog is not None and not sweep.reads_catalog:
+        raise ValueError(f"--catalog: {name} runs fixed instances, not a catalog")
     max_n = args.max_n or sweep.defaults[0]
     max_t = args.max_t or sweep.defaults[1]
     value = _Values(
@@ -633,7 +639,7 @@ def _add_budget_flags(sub):
 
 def _add_sweep_flags(sub):
     sub.add_argument("--catalog", help="graph6 file overriding the instance set")
-    # rows share the one memo arena of exact, so they run one at a time
+    # rows run one at a time, in the calling thread
     sub.add_argument("--jobs", type=int, choices=(1,), default=1)
 
 

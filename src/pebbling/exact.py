@@ -8,7 +8,9 @@ oracles (trees, cycles) and a DFS decider for everything else.
 """
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -27,7 +29,6 @@ __all__ = [
     "rooted_pebbling_number",
     "optimal_pebbling_number",
     "arbitrary_target_number",
-    "max_unsolvable_witness",
 ]
 
 
@@ -86,28 +87,37 @@ class PebblingStat:
         }
 
 
-# scan nodes between two clock checks when a call has a deadline: 30-70 ms
-# of the pure-Python kernels at 15-35 us a node
+# scan nodes between two clock checks: 30-70 ms of the pure-Python kernels
+# at 15-35 us a node
 SLICE_NODES = 2048
 
-# one shared memo arena; epochs invalidate stale entries in O(1)
-_MEMO: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_EPOCH = [0]
+# One memo arena per size and one epoch counter per thread; epochs
+# invalidate stale entries in O(1). Arenas are kept across calls because
+# allocating one per call costs 0.1-0.9 ms against a 0.21 ms decision. They
+# are per thread because a shared counter can hand two threads the same
+# epoch, and then each takes the other's failed states for its own.
+class _Arena(threading.local):
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.epochs = itertools.count(1)
+
+
+_ARENA = _Arena()
 
 
 def _memo_buffers(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    if bits not in _MEMO:
+    memo = _ARENA.memo
+    if bits not in memo:
         cap = 1 << bits
-        _MEMO[bits] = (
+        memo[bits] = (
             np.zeros(cap, dtype=np.int64),
             np.full(cap, -1, dtype=np.int64),
         )
-    return _MEMO[bits]
+    return memo[bits]
 
 
 def _next_epoch() -> int:
-    _EPOCH[0] += 1
-    return _EPOCH[0]
+    return next(_ARENA.epochs)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -353,10 +363,7 @@ def _min_size_for_target(
         code = K.PAUSED
         while code == K.PAUSED and ga.scan_left > 0:
             ga.check_clock(s, enumerated)
-            # with a deadline, scan in slices and check the clock between them
-            give = ga.scan_left
-            if ga.deadline is not None:
-                give = min(give, SLICE_NODES)
+            give = min(ga.scan_left, SLICE_NODES)
             code, nodes = K.witness_scan(ga.kind, tc.record, cursor, give, ga.dfs_box)
             ga.scan_left -= int(nodes)
             enumerated += int(nodes)
@@ -468,19 +475,6 @@ def is_solvable_distribution(
     return True
 
 
-def max_unsolvable_witness(
-    g: Graph, t: int = 1, budget: Budget = Budget()
-) -> PebbleDistribution:
-    """A distribution of size pi_t(G) - 1 that is not t-fold solvable,
-    re-verified against the decision kernels."""
-    stat = pebbling_number(g, t, budget)
-    witness = stat.witness
-    assert witness is not None and witness.size == stat.value - 1
-    if is_solvable_distribution(g, witness, t, budget):
-        raise AssertionError("witness unexpectedly t-fold solvable")
-    return witness
-
-
 def optimal_pebbling_number(
     g: Graph, t: int = 1, budget: Budget = Budget()
 ) -> PebblingStat:
@@ -496,7 +490,8 @@ def optimal_pebbling_number(
         for comp in compositions(k, g.n):
             ga.check_clock(k, enumerated)
             enumerated += 1
-            if enumerated > budget.scan_nodes:
+            ga.scan_left -= 1
+            if ga.scan_left < 0:
                 raise BudgetExceededError(
                     f"scan node budget exhausted at |D|={k}",
                     best_lower=k,

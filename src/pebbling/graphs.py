@@ -4,6 +4,11 @@ Vertices are dense integers 0..n-1; optional display names ride along in a
 side table. Distances and BFS-tree parents from every root are computed
 eagerly on construction, in one BFS per root (every pebbling routine hits
 them), and exposed read-only.
+
+Symmetry comes from one backtracking search, optionally pinned to send u to
+v and stopped after k hits: `automorphisms` lists the group, `vertex_orbits`
+settles each vertex by pinned searches stopped at 1, and a vertex-transitive
+graph is one orbit.
 """
 from __future__ import annotations
 
@@ -217,35 +222,50 @@ def bfs_spanning_tree(g: Graph, r: int) -> Graph:
 # -- automorphisms ----------------------------------------------------
 
 
-def _vertex_profiles(g: Graph) -> list[tuple]:
-    # (degree, sorted distance multiset) is automorphism-invariant
+def _profile_classes(g: Graph) -> list[list[int]]:
+    """For each vertex, the vertices with its (degree, sorted distance
+    multiset) profile: the only images an automorphism can give it."""
     d = g.distances
-    return [
+    profiles = [
         (g.degree(v), tuple(sorted(int(x) for x in d[v])))
         for v in range(g.n)
     ]
+    return [[w for w in range(g.n) if profiles[w] == p] for p in profiles]
 
 
-def _extend(g: Graph, mapping: list[int], cand: list[list[int]], out, stop_at):
-    v = len(mapping)
-    if v == g.n:
-        out.append(tuple(mapping))
-        return len(out) >= stop_at
-    used = set(mapping)
-    for w in cand[v]:
-        if w in used:
-            continue
-        ok = True
-        for u in range(v):
-            if (w in g.neighbors(mapping[u])) != (v in g.neighbors(u)):
-                ok = False
-                break
-        if ok:
-            mapping.append(w)
-            if _extend(g, mapping, cand, out, stop_at):
-                return True
-            mapping.pop()
-    return False
+def _search(
+    g: Graph, cand: list[list[int]], stop_at=float("inf"), pin=None
+) -> list[tuple[int, ...]]:
+    """Automorphisms in lexicographic order of their images, at most stop_at
+    of them; with pin = (u, v), only those that send u to v. Vertex v takes
+    an image from cand[v] that keeps every adjacency to 0..v-1."""
+    if pin is not None:
+        cand = list(cand)
+        cand[pin[0]] = [pin[1]]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    mapping: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def extend() -> bool:
+        v = len(mapping)
+        if v == g.n:
+            out.append(tuple(mapping))
+            return len(out) >= stop_at
+        for w in cand[v]:
+            if w in mapping:
+                continue
+            for u in range(v):
+                if (w in nbrs[mapping[u]]) != (v in nbrs[u]):
+                    break
+            else:
+                mapping.append(w)
+                if extend():
+                    return True
+                mapping.pop()
+        return False
+
+    extend()
+    return out
 
 
 def automorphisms(g: Graph, *, limit: int | None = None) -> list[tuple[int, ...]]:
@@ -255,53 +275,35 @@ def automorphisms(g: Graph, *, limit: int | None = None) -> list[tuple[int, ...]
     the small verification graphs this package targets. With `limit`, stops
     after that many are found.
     """
-    profiles = _vertex_profiles(g)
-    cand = [
-        [w for w in range(g.n) if profiles[w] == profiles[v]]
-        for v in range(g.n)
-    ]
-    out: list[tuple[int, ...]] = []
-    _extend(g, [], cand, out, stop_at=limit if limit is not None else float("inf"))
-    return out
+    stop_at = limit if limit is not None else float("inf")
+    return _search(g, _profile_classes(g), stop_at)
 
 
-def vertex_orbits(g: Graph, *, group_cap: int = 50_000) -> list[list[int]]:
-    """Orbits of the automorphism group on vertices.
+def vertex_orbits(g: Graph) -> list[list[int]]:
+    """Orbits of the automorphism group on vertices, each ascending, in
+    ascending order of their smallest vertex.
 
-    Complete graphs short-circuit to a single orbit (their group is all of
-    S_n, not worth enumerating). If the group exceeds `group_cap` elements the
-    fallback is singleton orbits, which is always sound for callers that use
-    orbits purely for deduplication.
+    Vertex v joins the first orbit whose smallest vertex u shares its
+    profile and has an automorphism u -> v (a pinned search stopped at the
+    first hit); otherwise v starts a new orbit. The group is never listed.
     """
-    if all(g.degree(v) == g.n - 1 for v in range(g.n)):
-        return [list(range(g.n))]
-    auts = automorphisms(g, limit=group_cap + 1)
-    if len(auts) > group_cap:
-        return [[v] for v in range(g.n)]
-    rep = list(range(g.n))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for sigma in auts:
-        for v in range(g.n):
-            a, b = find(v), find(sigma[v])
-            if a != b:
-                rep[max(a, b)] = min(a, b)
-    orbits: dict[int, list[int]] = {}
+    cand = _profile_classes(g)
+    orbits: list[list[int]] = []
     for v in range(g.n):
-        orbits.setdefault(find(v), []).append(v)
-    return [orbits[k] for k in sorted(orbits)]
+        for orbit in orbits:
+            u = orbit[0]
+            if v in cand[u] and _search(g, cand, stop_at=1, pin=(u, v)):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return orbits
 
 
 def is_vertex_transitive(g: Graph, *, max_n: int = 10) -> bool:
-    """True iff some automorphism maps vertex 0 to every other vertex.
+    """True iff the automorphism group has a single vertex orbit.
 
-    Permutation search with profile pruning; refuses (raises) above `max_n`
-    rather than risk an expensive or wrong answer.
+    Refuses (raises) above `max_n` rather than risk an expensive search.
     """
     g.require_connected()
     if g.n > max_n:
@@ -309,23 +311,7 @@ def is_vertex_transitive(g: Graph, *, max_n: int = 10) -> bool:
             f"vertex-transitivity check capped at n={max_n} (got n={g.n}); "
             "raise max_n explicitly to override"
         )
-    profiles = _vertex_profiles(g)
-    if len(set(profiles)) > 1:
-        return False
-    if g.n == 1:
-        return True
-    # one search per target: does any automorphism send 0 to v?
-    for v in range(1, g.n):
-        cand = [
-            [w for w in range(g.n) if profiles[w] == profiles[u]]
-            for u in range(g.n)
-        ]
-        cand[0] = [v]
-        out: list[tuple[int, ...]] = []
-        _extend(g, [], cand, out, stop_at=1)
-        if not out:
-            return False
-    return True
+    return len(vertex_orbits(g)) == 1
 
 
 # -- families ---------------------------------------------------------

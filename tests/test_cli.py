@@ -202,6 +202,35 @@ class TestVerify:
         assert code == EXIT_PASS
         assert json.loads(out)["summary"]["instances"] == 4
 
+    def test_closed_target_rows_honor_max_n(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "targets", "--format", "json",
+            "--max-n", "3", "--max-t", "1",
+        )
+        assert code == EXIT_PASS
+        rows = json.loads(out)["rows"]
+        assert rows and all(row["n"] <= 3 for row in rows)
+
+    def test_targets_catalog_runs_its_catalog_rows(self, capsys, tmp_path):
+        k3 = serialize_graph6(make_family("complete", 3))
+        listing = tmp_path / "k3.g6"
+        listing.write_text(k3 + "\n")
+        code, out, _ = run(
+            capsys, "verify", "--suite", "targets", "--format", "json",
+            "--catalog", str(listing), "--max-n", "3", "--max-t", "1",
+        )
+        assert code == EXIT_PASS
+        assert [row["graph"] for row in json.loads(out)["rows"]] == [k3]
+
+    @pytest.mark.parametrize("suite", ["cycles", "fracopt"])
+    def test_catalog_on_a_fixed_suite_is_a_usage_error(self, capsys, tmp_path, suite):
+        listing = tmp_path / "k3.g6"
+        listing.write_text(serialize_graph6(make_family("complete", 3)) + "\n")
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--catalog", str(listing)
+        )
+        assert code == EXIT_USAGE and "--catalog" in err and out == ""
+
     def test_jobs_above_one_is_a_usage_error(self, capsys):
         # rows share one memo arena, so only serial runs are accepted
         code, _, err = run(

@@ -6,6 +6,8 @@ distributions small enough to enumerate.
 """
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -17,10 +19,11 @@ from pebbling.engine import PebbleDistribution, is_t_fold_solvable
 from pebbling.errors import BudgetExceededError
 from pebbling.exact import (
     Budget,
+    _GraphArrays,
+    _TargetContext,
     arbitrary_target_number,
     compositions,
     is_solvable_distribution,
-    max_unsolvable_witness,
     optimal_pebbling_number,
     pebbling_number,
     rooted_pebbling_number,
@@ -60,11 +63,7 @@ class TestPebblingNumber:
         stat = pebbling_number(g, 1, WIDE)
         assert stat.witness.size == stat.value - 1
         assert not is_t_fold_solvable(g, stat.witness, 1)
-
-    def test_max_unsolvable_witness_antipodal_pile(self):
-        w = max_unsolvable_witness(make_family("cycle", 6), 1, WIDE)
-        assert w.size == 7
-        assert sorted(w.counts) == [0, 0, 0, 0, 0, 7]
+        assert sorted(stat.witness.counts) == [0, 0, 0, 0, 0, 7]
 
     def test_deterministic_witness(self):
         g = make_family("cycle", 5)
@@ -181,6 +180,55 @@ class TestArbitraryTargetNumber:
             arbitrary_target_number(g, 2, WIDE).value
             >= pebbling_number(g, 2, WIDE).value
         )
+
+
+class TestThreads:
+    def test_each_thread_gets_its_own_memo_arena(self):
+        g = make_family("cycle", 5)
+        target = PebbleDistribution.point(5, 0).as_array()
+        keys = {}
+
+        def build(i):
+            ga = _GraphArrays(g, Budget(memo_bits=8))
+            keys[i] = _TargetContext(ga, target).memo_keys
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+        assert keys[0] is not keys[1]
+
+    def test_concurrent_calls_keep_their_values(self):
+        # four threads on two cores, switching as often as the interpreter
+        # allows, each repeating one rooted value of W_6 at t = 2
+        g = make_family("wheel", 6)
+        want = {0: 9, 1: 10, 2: 10, 3: 10}
+        got = {r: [] for r in want}
+        finished = set()
+        stop = time.monotonic() + 3.0
+
+        def repeat(r):
+            while time.monotonic() < stop:
+                stat = rooted_pebbling_number(g, r, 2, Budget(memo_bits=16))
+                got[r].append(stat.value)
+            finished.add(r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=repeat, args=(r,)) for r in want]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert finished == set(want)
+        for r, values in got.items():
+            assert values and set(values) == {want[r]}
 
 
 class TestBudgets:

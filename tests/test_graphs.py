@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -207,6 +208,60 @@ class TestAutomorphisms:
 
     def test_orbits_complete_single(self):
         assert vertex_orbits(make_family("complete", 6)) == [list(range(6))]
+
+
+def reference_orbits(g):
+    """Orbits by listing the whole group and merging each vertex with its
+    images in a union-find."""
+    rep = list(range(g.n))
+
+    def find(x):
+        while rep[x] != x:
+            x = rep[x]
+        return x
+
+    for sigma in automorphisms(g):
+        for v in range(g.n):
+            a, b = find(v), find(sigma[v])
+            rep[max(a, b)] = min(a, b)
+    orbits = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), []).append(v)
+    return [orbits[k] for k in sorted(orbits)]
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestSymmetryReference:
+    def check(self, g):
+        want = reference_orbits(g)
+        assert vertex_orbits(g) == want
+        assert is_vertex_transitive(g, max_n=g.n) == (len(want) == 1)
+
+    @pytest.mark.parametrize("name", ["connected_up_to_6", "trees_up_to_8"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relabeled_catalogs(self, name, seed):
+        for g in load_catalog(name):
+            self.check(relabeled(g, seed))
+
+    @pytest.mark.parametrize(
+        "kind,param",
+        [
+            ("complete", 6),
+            ("complete", 8),
+            ("star", 7),
+            ("hypercube", 3),
+            ("cycle", 8),
+            ("wheel", 6),
+            ("path", 8),
+        ],
+    )
+    def test_families(self, kind, param):
+        self.check(make_family(kind, param))
 
 
 class TestFamilies:
