@@ -1,10 +1,11 @@
 """Search kernels over integer pebble-count vectors.
 
 Everything here is written as plain Python over numpy arrays with explicit
-loops, then compiled with numba at import time. Setting PEBBLE_PURE_PYTHON=1
-in the environment skips compilation and runs the identical source
-interpreted. perfbench/README.md describes the benchmark, which records the
-backend in effect with every run.
+loops. numba is optional: when it imports, the kernels are compiled at import
+time; without it, or with PEBBLE_PURE_PYTHON=1 in the environment, the
+identical source runs interpreted. Pure Python is the backend the test suite
+and the benchmark run on. perfbench/README.md describes the benchmark, which
+records the backend in effect with every run.
 
 Weights are kept integral throughout: with maxd the graph diameter,
 W[v, a] = 2**(maxd - dist(v, a)), so "weight(c, a) >= need" comparisons are
@@ -40,7 +41,7 @@ PURE_PYTHON = os.environ.get("PEBBLE_PURE_PYTHON", "") == "1"
 if not PURE_PYTHON:
     try:
         from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but be safe
+    except ImportError:  # numba is optional
         PURE_PYTHON = True
 
 

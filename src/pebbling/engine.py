@@ -25,7 +25,6 @@ __all__ = [
     "max_pebbles_to",
     "is_t_fold_solvable",
     "weight",
-    "fractional_reachable",
     "tree_move_cost",
 ]
 
@@ -321,14 +320,6 @@ def is_t_fold_solvable(g: Graph, D: PebbleDistribution, t: int, **kwargs) -> boo
         is_reachable(g, D, PebbleDistribution.point(g.n, r, t), **kwargs)
         for r in range(g.n)
     )
-
-
-def fractional_reachable(
-    g: Graph, D: FractionalDistribution, r: int, t: Fraction | int = 1
-) -> bool:
-    """Fractional delivery of t to r is possible exactly when the weighted
-    mass toward r is at least t. Single-vertex targets only."""
-    return weight(D, r, g) >= t
 
 
 def tree_move_cost(

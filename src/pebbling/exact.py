@@ -13,14 +13,19 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
 from pebbling import _kernels as K
 from pebbling.engine import PebbleDistribution, _scaled_weights
 from pebbling.errors import BudgetExceededError
-from pebbling.graphs import Graph, automorphisms, serialize_graph6, vertex_orbits
+from pebbling.graphs import (
+    Graph,
+    composition_orbits,
+    compositions,
+    serialize_graph6,
+    vertex_orbits,
+)
 
 __all__ = [
     "Budget",
@@ -118,16 +123,6 @@ def _memo_buffers(bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _next_epoch() -> int:
     return next(_ARENA.epochs)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions in colexicographic order (last coordinate slowest)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in compositions(total - last, parts - 1):
-            yield rest + (last,)
 
 
 class _GraphArrays:
@@ -509,32 +504,12 @@ def optimal_pebbling_number(
     )
 
 
-def _orbit_reps_of_targets(g: Graph, t: int) -> list[np.ndarray]:
-    group = automorphisms(g, limit=50_001)
-    if len(group) > 50_000:
-        group = None
-    seen: set[tuple[int, ...]] = set()
-    reps: list[np.ndarray] = []
-    for comp in compositions(t, g.n):
-        if comp in seen:
-            continue
-        reps.append(np.array(comp, dtype=np.int64))
-        if group is None:
-            seen.add(comp)
-            continue
-        for sigma in group:
-            img = [0] * g.n
-            for v in range(g.n):
-                img[sigma[v]] = comp[v]
-            seen.add(tuple(img))
-    return reps
-
-
 def arbitrary_target_number(
     g: Graph, t: int = 1, budget: Budget = Budget()
 ) -> PebblingStat:
     """Smallest k such that every k-pebble distribution reaches every target
     of size t (targets range over all weak compositions of t)."""
     return _worst_target(
-        g, "pi_arbitrary_target", t, budget, lambda: _orbit_reps_of_targets(g, t)
+        g, "pi_arbitrary_target", t, budget,
+        lambda: [np.array(o[0], dtype=np.int64) for o in composition_orbits(g, t)],
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from pebbling.engine import MoveSequence, PebbleDistribution
-from pebbling.graphs import Graph, bfs_parents, diameter, make_family
+from pebbling.graphs import Graph, diameter, make_family
 
 __all__ = [
     "PathPartition",
@@ -100,7 +100,7 @@ def _rooted_partition(tree: Graph, root: int) -> tuple[int, ...]:
     # Edges are identified with their lower endpoint's vertex: edge
     # (v, parent[v]) is "unused" while v remains in the pool. A part is a
     # maximal run of consecutive ancestor edges, so extraction walks upward.
-    parent = bfs_parents(tree, root)
+    parent = tree.parents[root]
     unused = {v for v in range(tree.n) if v != root}
     lengths = []
     while unused:

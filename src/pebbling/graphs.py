@@ -5,16 +5,17 @@ side table. Distances and BFS-tree parents from every root are computed
 eagerly on construction, in one BFS per root (every pebbling routine hits
 them), and exposed read-only.
 
-Symmetry comes from one backtracking search, optionally pinned to send u to
-v and stopped after k hits: `automorphisms` lists the group, `vertex_orbits`
-settles each vertex by pinned searches stopped at 1, and a vertex-transitive
-graph is one orbit.
+Symmetry comes from one backtracking search over profile-filtered candidate
+images: `automorphisms` lists the group for reference, and
+`composition_orbits` places each weak composition by searches stopped at the
+first hit, without listing it. Vertex orbits are the orbits of the
+one-pebble compositions, and a vertex-transitive graph is one orbit.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,9 +26,9 @@ __all__ = [
     "Graph6Error",
     "distance_matrix",
     "diameter",
-    "bfs_parents",
-    "bfs_spanning_tree",
     "automorphisms",
+    "compositions",
+    "composition_orbits",
     "vertex_orbits",
     "is_vertex_transitive",
     "make_family",
@@ -197,28 +198,6 @@ def diameter(g: Graph) -> int:
     return int(g.distances.max())
 
 
-def bfs_parents(g: Graph, r: int) -> np.ndarray:
-    """Parent array of the BFS tree rooted at r (parent[r] = -1): row r of
-    the read-only `Graph.parents`.
-
-    Deterministic: vertices are discovered in ascending neighbor order, so the
-    same graph and root always yield the same tree.
-    """
-    g.require_connected()
-    return g.parents[r]
-
-
-def bfs_spanning_tree(g: Graph, r: int) -> Graph:
-    """Spanning tree rooted at r preserving every distance from r.
-
-    BFS layers guarantee dist_T(r, v) = dist_G(r, v) for all v, the property
-    the radius-style bounds lean on.
-    """
-    parent = bfs_parents(g, r)
-    edges = [(int(parent[v]), v) for v in range(g.n) if parent[v] >= 0]
-    return Graph(g.n, edges, names=g.names)
-
-
 # -- automorphisms ----------------------------------------------------
 
 
@@ -227,22 +206,19 @@ def _profile_classes(g: Graph) -> list[list[int]]:
     multiset) profile: the only images an automorphism can give it."""
     d = g.distances
     profiles = [
-        (g.degree(v), tuple(sorted(int(x) for x in d[v])))
+        (g.degree(v), tuple(sorted(d[v].tolist())))
         for v in range(g.n)
     ]
     return [[w for w in range(g.n) if profiles[w] == p] for p in profiles]
 
 
 def _search(
-    g: Graph, cand: list[list[int]], stop_at=float("inf"), pin=None
+    g: Graph, cand: list[list[int]], stop_at=float("inf")
 ) -> list[tuple[int, ...]]:
     """Automorphisms in lexicographic order of their images, at most stop_at
-    of them; with pin = (u, v), only those that send u to v. Vertex v takes
-    an image from cand[v] that keeps every adjacency to 0..v-1."""
-    if pin is not None:
-        cand = list(cand)
-        cand[pin[0]] = [pin[1]]
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    of them. Vertex v takes an image from cand[v] that keeps every adjacency
+    to 0..v-1."""
+    nbrs = g._neighbors
     mapping: list[int] = []
     out: list[tuple[int, ...]] = []
 
@@ -268,49 +244,73 @@ def _search(
     return out
 
 
-def automorphisms(g: Graph, *, limit: int | None = None) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, as image tuples.
 
     Backtracking with degree/distance-profile candidate filtering; fine for
-    the small verification graphs this package targets. With `limit`, stops
-    after that many are found.
+    the small verification graphs this package targets.
     """
-    stop_at = limit if limit is not None else float("inf")
-    return _search(g, _profile_classes(g), stop_at)
+    return _search(g, _profile_classes(g))
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions in colexicographic order (last coordinate slowest).
+
+    The successor empties the first nonzero coordinate k, moves one of its
+    units to k + 1 and the rest to coordinate 0.
+    """
+    c = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(c)
+        k = 0
+        while k < parts - 1 and not c[k]:
+            k += 1
+        if k == parts - 1:
+            return
+        x, c[k] = c[k], 0
+        c[0] = x - 1
+        c[k + 1] += 1
+
+
+def composition_orbits(g: Graph, t: int) -> list[list[tuple[int, ...]]]:
+    """Orbits of the automorphism group on the weak compositions of t over
+    the vertices, each in colex order, in colex order of their first members.
+
+    A composition c joins the orbit with first member q when a search stopped
+    at the first hit finds an automorphism that sends each v to a vertex w
+    of v's profile with c[w] == q[v]. Only first members with the same
+    multiset of (profile class, value) pairs are tried. The group is never
+    listed.
+    """
+    cls = _profile_classes(g)
+    label = [members[0] for members in cls]
+    firsts: dict[tuple, list[list[tuple[int, ...]]]] = {}
+    orbits: list[list[tuple[int, ...]]] = []
+    for c in compositions(t, g.n):
+        key = tuple(sorted((label[v], x) for v, x in enumerate(c) if x))
+        same = firsts.setdefault(key, [])
+        for orbit in same:
+            q = orbit[0]
+            cand = [[w for w in cls[v] if c[w] == q[v]] for v in range(g.n)]
+            if _search(g, cand, stop_at=1):
+                orbit.append(c)
+                break
+        else:
+            same.append([c])
+            orbits.append(same[-1])
+    return orbits
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
     """Orbits of the automorphism group on vertices, each ascending, in
-    ascending order of their smallest vertex.
-
-    Vertex v joins the first orbit whose smallest vertex u shares its
-    profile and has an automorphism u -> v (a pinned search stopped at the
-    first hit); otherwise v starts a new orbit. The group is never listed.
-    """
-    cand = _profile_classes(g)
-    orbits: list[list[int]] = []
-    for v in range(g.n):
-        for orbit in orbits:
-            u = orbit[0]
-            if v in cand[u] and _search(g, cand, stop_at=1, pin=(u, v)):
-                orbit.append(v)
-                break
-        else:
-            orbits.append([v])
-    return orbits
+    ascending order of their smallest vertex: the orbits of the one-pebble
+    compositions."""
+    return [[c.index(1) for c in orbit] for orbit in composition_orbits(g, 1)]
 
 
-def is_vertex_transitive(g: Graph, *, max_n: int = 10) -> bool:
-    """True iff the automorphism group has a single vertex orbit.
-
-    Refuses (raises) above `max_n` rather than risk an expensive search.
-    """
+def is_vertex_transitive(g: Graph) -> bool:
+    """True iff the automorphism group has a single vertex orbit."""
     g.require_connected()
-    if g.n > max_n:
-        raise GraphError(
-            f"vertex-transitivity check capped at n={max_n} (got n={g.n}); "
-            "raise max_n explicitly to override"
-        )
     return len(vertex_orbits(g)) == 1
 
 

@@ -68,6 +68,14 @@ class TestCompute:
         stat = json.loads(out)
         assert stat["kind"] == "pi_hat_star" and stat["value"] == value
 
+    @pytest.mark.parametrize(
+        "graph,value", [("hypercube:4", "256/81"), ("path:11", "13/3")]
+    )
+    def test_fractional_optimum_above_ten_vertices(self, capsys, graph, value):
+        code, out, _ = run(capsys, "compute", graph, "--stat", "pi_hat_star")
+        assert code == EXIT_PASS
+        assert out.splitlines()[0] == value
+
     def test_csv_references_witness_by_id(self, capsys):
         code, out, _ = run(
             capsys, "compute", "cycle:5", "--stat", "pi", "--format", "csv"
@@ -232,7 +240,7 @@ class TestVerify:
         assert code == EXIT_USAGE and "--catalog" in err and out == ""
 
     def test_jobs_above_one_is_a_usage_error(self, capsys):
-        # rows share one memo arena, so only serial runs are accepted
+        # rows run one at a time, in the calling thread, so --jobs takes only 1
         code, _, err = run(
             capsys, "verify", "--suite", "cycles", "--max-n", "4", "--jobs", "2"
         )

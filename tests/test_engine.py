@@ -10,7 +10,6 @@ from pebbling.engine import (
     MoveSequence,
     PebbleDistribution,
     apply_move,
-    fractional_reachable,
     is_reachable,
     is_t_fold_solvable,
     max_pebbles_to,
@@ -236,12 +235,6 @@ class TestDelivery:
         g = make_family("cycle", 6)
         assert not is_t_fold_solvable(g, PebbleDistribution.point(6, 0, 7), 1)
         assert is_t_fold_solvable(g, PebbleDistribution.point(6, 0, 8), 1)
-
-    def test_fractional_weight_rule(self):
-        g = make_family("cycle", 4)
-        F = FractionalDistribution.uniform(4, "4/9")
-        assert fractional_reachable(g, F, 0, 1)
-        assert not fractional_reachable(g, F, 0, Fraction(10, 9))
 
 
 class TestTreeMoveCost:

@@ -181,6 +181,11 @@ class TestArbitraryTargetNumber:
             >= pebbling_number(g, 2, WIDE).value
         )
 
+    def test_star_9_scans_one_target_per_orbit(self):
+        # the group has 9! elements and 4 orbits on targets of size 2
+        stat = arbitrary_target_number(make_family("star", 9), 2, Budget(max_n=10))
+        assert stat.value == 15
+
 
 class TestThreads:
     def test_each_thread_gets_its_own_memo_arena(self):

@@ -21,7 +21,7 @@ from pebbling.formulas import (
     star_fourth_pebble,
     tree_pebbling_formula,
 )
-from pebbling.graphs import Graph, bfs_parents, make_family
+from pebbling.graphs import Graph, make_family
 
 
 def spider(*legs):
@@ -40,7 +40,7 @@ def spider(*legs):
 def exhaustive_rooted(g, root):
     """Same search restricted to ancestor chains (parts directed toward the
     root). Edges are named by their child endpoint."""
-    parent = bfs_parents(g, root)
+    parent = g.parents[root]
     children = defaultdict(list)
     for v in range(g.n):
         if v != root:

@@ -13,8 +13,8 @@ from pebbling.graphs import (
     Graph6Error,
     GraphError,
     automorphisms,
-    bfs_parents,
-    bfs_spanning_tree,
+    composition_orbits,
+    compositions,
     diameter,
     distance_matrix,
     family_from_string,
@@ -106,30 +106,6 @@ class TestDiameter:
         assert diameter(make_family("wheel", 4)) == 2
 
 
-class TestBfsSpanningTree:
-    def test_tree_is_fixed_point(self):
-        t = make_family("tree", [[0, 1], [1, 2], [1, 3]])
-        assert bfs_spanning_tree(t, 2).edges == t.edges
-
-    def test_cycle4_gives_distance_preserving_path_shape(self):
-        g = make_family("cycle", 4)
-        t = bfs_spanning_tree(g, 0)
-        assert sorted(t.distances[0]) == [0, 1, 1, 2]
-        assert len(t.edges) == 3
-
-    def test_complete_gives_star(self):
-        t = bfs_spanning_tree(make_family("complete", 4), 2)
-        assert all(2 in e for e in t.edges)
-
-    @given(connected_graphs())
-    @settings(max_examples=60, deadline=None)
-    def test_preserves_root_distances(self, g):
-        for r in range(g.n):
-            t = bfs_spanning_tree(g, r)
-            assert (t.distances[r] == g.distances[r]).all()
-            assert len(t.edges) == g.n - 1
-
-
 class TestParents:
     @staticmethod
     def reference_bfs(g, r):
@@ -150,7 +126,6 @@ class TestParents:
             for r in range(g.n):
                 want = self.reference_bfs(g, r)
                 assert g.parents[r].tolist() == want
-                assert bfs_parents(g, r).tolist() == want
 
 
 class TestTransitivity:
@@ -183,11 +158,8 @@ class TestTransitivity:
         g = Graph(w.n, [e for e in w.edges if e != rim[0]])
         assert not is_vertex_transitive(g)
 
-    def test_cap_refusal(self):
-        g = make_family("cycle", 12)
-        with pytest.raises(GraphError, match="capped"):
-            is_vertex_transitive(g)
-        assert is_vertex_transitive(g, max_n=12)
+    def test_cycle_12_is_transitive(self):
+        assert is_vertex_transitive(make_family("cycle", 12))
 
 
 class TestAutomorphisms:
@@ -208,6 +180,13 @@ class TestAutomorphisms:
 
     def test_orbits_complete_single(self):
         assert vertex_orbits(make_family("complete", 6)) == [list(range(6))]
+
+    def test_star_9_target_orbits(self):
+        # pairs of pebbles on a 9-leaf star: both on the centre, centre and
+        # a leaf, two on one leaf, one on each of two leaves
+        orbits = composition_orbits(make_family("star", 9), 2)
+        assert len(orbits) == 4
+        assert sum(len(orbit) for orbit in orbits) == 55
 
 
 def reference_orbits(g):
@@ -230,6 +209,23 @@ def reference_orbits(g):
     return [orbits[k] for k in sorted(orbits)]
 
 
+def reference_composition_orbits(g, t, group):
+    """Orbits by closing each new composition under every listed
+    automorphism; members in colex order."""
+    seen = {}
+    orbits = []
+    for c in compositions(t, g.n):
+        if c not in seen:
+            orbits.append([])
+            for sigma in group:
+                img = [0] * g.n
+                for v in range(g.n):
+                    img[sigma[v]] = c[v]
+                seen[tuple(img)] = orbits[-1]
+        seen[c].append(c)
+    return orbits
+
+
 def relabeled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -240,7 +236,12 @@ class TestSymmetryReference:
     def check(self, g):
         want = reference_orbits(g)
         assert vertex_orbits(g) == want
-        assert is_vertex_transitive(g, max_n=g.n) == (len(want) == 1)
+        assert is_vertex_transitive(g) == (len(want) == 1)
+        group = automorphisms(g)
+        for t in (1, 2, 3):
+            assert composition_orbits(g, t) == reference_composition_orbits(
+                g, t, group
+            )
 
     @pytest.mark.parametrize("name", ["connected_up_to_6", "trees_up_to_8"])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -25,7 +25,7 @@ from pebbling.exact import (
     compositions,
     rooted_pebbling_number,
 )
-from pebbling.graphs import Graph, bfs_parents, make_family
+from pebbling.graphs import Graph, make_family
 
 
 def tree_arrays(g, root):
@@ -33,7 +33,7 @@ def tree_arrays(g, root):
         sorted(range(g.n), key=lambda v: -int(g.distances[root, v])),
         dtype=np.int64,
     )
-    return order, bfs_parents(g, root)
+    return order, g.parents[root]
 
 
 @st.composite
