@@ -29,6 +29,15 @@ entries stored under this target's epoch, over every scan and decision, so
 the load guard in _memo_add sees them all.
 The scan-node budget and the DFS node box belong to the caller and are
 spent over a whole public call.
+
+witness_scan also takes the automorphisms that keep its target, as rows of
+positions along order (exact._leader_perms; no rows scans everything). It
+decides only compositions that no row maps to a lexicographically larger
+one along order, the leader test, run on every prefix before its decision.
+It never decides a prefix once a larger choice at the same level was NONE,
+the known-NONE flag. Its cursor (scan_cursor) holds the level, the counts
+and, per level, the pebbles left, the choice, the prefix weights and the
+known-NONE flag, so a PAUSED scan resumes exactly where it stopped.
 """
 from __future__ import annotations
 
@@ -36,13 +45,16 @@ import os
 
 import numpy as np
 
-PURE_PYTHON = os.environ.get("PEBBLE_PURE_PYTHON", "") == "1"
-
-if not PURE_PYTHON:
+# the backend in effect, with the reason when it is the interpreted one
+if os.environ.get("PEBBLE_PURE_PYTHON", "") == "1":
+    BACKEND = "pure-python (PEBBLE_PURE_PYTHON=1)"
+else:
     try:
         from numba import njit as _njit
+        BACKEND = "numba"
     except ImportError:  # numba is optional
-        PURE_PYTHON = True
+        BACKEND = "pure-python (numba not importable)"
+PURE_PYTHON = BACKEND != "numba"
 
 
 def _maybe_jit(fn):
@@ -316,17 +328,37 @@ def _decide_solvable(counts, kind, record, dfs_box):
 
 def scan_cursor(n, nanch, s):
     """A witness_scan cursor at the start of the scan of size s: the
-    position p and the counts, rem_stack, choice and prefw arrays."""
+    position p and the counts, rem_stack, choice, prefw and known arrays."""
     rem_stack = np.zeros(n + 1, dtype=np.int64)
     choice = np.zeros(n + 1, dtype=np.int64)
     rem_stack[0], choice[0] = s, s + 1
     counts = np.zeros(n, dtype=np.int64)
     prefw = np.zeros((n + 1, nanch), dtype=np.int64)
-    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw
+    known = np.zeros(n, dtype=np.int64)
+    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw, known
 
 
 @_maybe_jit
-def witness_scan(kind, record, cursor, scan_budget, dfs_box):
+def _leads(perms, counts, order, p):
+    """The leader test: False if some row of perms maps the composition
+    assigned so far along order (positions 0..p) to one that is already
+    lexicographically larger there, whatever the unassigned positions get."""
+    for k in range(perms.shape[0]):
+        for i in range(p + 1):
+            j = perms[k, i]
+            if j > p:
+                break
+            a = counts[order[i]]
+            b = counts[order[j]]
+            if a > b:
+                break
+            if a < b:
+                return False
+    return True
+
+
+@_maybe_jit
+def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     """Search for an unsolvable distribution of the size the cursor was
     made for (scan_cursor), resuming where the cursor stands.
 
@@ -336,15 +368,32 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box):
     monotone under adding pebbles) and short-circuiting whole subtrees where
     the weight bound proves every completion unsolvable.
 
-    Returns (code, scan_nodes), scan_nodes counting this call's nodes only;
-    on FOUND the cursor's counts hold the witness. Before it would spend a
-    node beyond scan_budget it saves its position in the cursor and returns
-    PAUSED. Decisions draw on the caller's DFS node box dfs_box.
+    perms holds automorphisms that keep the target, one a row, as positions
+    along order: row k maps position i to perms[k, i], the position of the
+    image of order[i]. Every node, inner or leaf, first passes the leader
+    test: no row may map the assigned prefix to a lexicographically larger
+    one. The largest member of each orbit passes it, so only compositions
+    that no row can enlarge are decided, and an empty perms scans them all.
+    A composition fails exactly when its orbit's largest member fails, and
+    every prefix of a failing composition fails too, so no witness is lost.
+
+    Once the prefix at level p with tail zero decides NONE, every smaller
+    choice at level p gives a sub-distribution of it, NONE as well; the
+    cursor's known[p] records that, so those prefixes are not decided
+    again, and a descent into level p clears it.
+
+    Returns (code, scan_nodes), scan_nodes counting this call's nodes only,
+    pruned ones included; on FOUND the cursor's counts hold the witness.
+    Before it would spend a node beyond scan_budget it saves its position
+    in the cursor and returns PAUSED: the cursor holds the level p, the
+    counts, each level's remaining pebbles, choice, prefix weights and
+    known flag, so a resumed call goes on as one long call would.
+    Decisions draw on the caller's DFS node box dfs_box.
     """
     (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
      ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
      memo_used) = record
-    at, counts, rem_stack, choice, prefw = cursor
+    at, counts, rem_stack, choice, prefw, known = cursor
     nanch = anchors.shape[0]
     nodes = np.int64(0)
 
@@ -358,11 +407,12 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box):
             v = order[p]
             counts[v] = rem_stack[p]
             nodes += 1
-            code = _decide_solvable(counts, kind, record, dfs_box)
-            if code == NONE:
-                return FOUND, nodes
-            if code == REFUSED:
-                return REFUSED, nodes
+            if _leads(perms, counts, order, p):
+                code = _decide_solvable(counts, kind, record, dfs_box)
+                if code == NONE:
+                    return FOUND, nodes
+                if code == REFUSED:
+                    return REFUSED, nodes
             counts[v] = 0
             p -= 1
             continue
@@ -374,8 +424,10 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box):
             continue
         v = order[p]
         counts[v] = c
-        rem = rem_stack[p] - c
         nodes += 1
+        if not _leads(perms, counts, order, p):
+            continue
+        rem = rem_stack[p] - c
         for a in range(nanch):
             prefw[p + 1, a] = prefw[p, a] + c * wint[v, anchors[a]]
         # if even the best-placed completion stays under the needed weight at
@@ -385,12 +437,15 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box):
                 counts[order[n - 1]] += rem
                 return FOUND, nodes
         # a solvable prefix only gets more solvable as the tail is filled in
-        code = _decide_solvable(counts, kind, record, dfs_box)
-        if code == REFUSED:
-            return REFUSED, nodes
-        if code == FOUND:
-            continue
+        if not known[p]:
+            code = _decide_solvable(counts, kind, record, dfs_box)
+            if code == REFUSED:
+                return REFUSED, nodes
+            if code == FOUND:
+                continue
+            known[p] = 1
         p += 1
         rem_stack[p] = rem
         choice[p] = rem + 1
+        known[p] = 0
     return NONE, nodes

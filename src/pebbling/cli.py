@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from . import construct
+from . import __version__, construct
+from ._kernels import BACKEND
 from .catalogs import load_catalog
 from .engine import PebbleDistribution
 from .errors import BudgetExceededError
@@ -647,6 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pebble",
         description="Exact graph pebbling computations and sweeps.",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"pebble {__version__}, kernels: {BACKEND}",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,6 @@ __all__ = [
     "max_pebbles_to",
     "is_t_fold_solvable",
     "weight",
-    "tree_move_cost",
 ]
 
 
@@ -321,58 +320,3 @@ def is_t_fold_solvable(g: Graph, D: PebbleDistribution, t: int, **kwargs) -> boo
         for r in range(g.n)
     )
 
-
-def tree_move_cost(
-    tree: Graph, D: PebbleDistribution, r: int, t: int
-) -> tuple[bool, int, MoveSequence]:
-    """Deliver t pebbles to r on a tree with an explicit demand-driven
-    schedule, reporting the cost: net pebbles removed from vertices other
-    than r.
-
-    Moves run level by level toward r; the cost never exceeds 2**a1 * t where
-    a1 is the tree's height from r, since a pebble gathered from depth d
-    consumes at most 2**d.
-    """
-    tree.require_connected()
-    if len(tree.edges) != tree.n - 1:
-        raise ValueError("tree_move_cost requires a tree")
-    n = tree.n
-    dist = tree.distances
-    children: list[list[int]] = [[] for _ in range(n)]
-    order = sorted(range(n), key=lambda v: -int(dist[r, v]))
-    for v in order:
-        if v != r:
-            children[int(tree.parents[r, v])].append(v)
-
-    counts = list(D.counts)
-    fold = [0] * n
-    for v in order:  # deepest first
-        fold[v] = counts[v] + sum(fold[c] // 2 for c in children[v])
-    if fold[r] < t:
-        return False, 0, MoveSequence(())
-
-    moves: list[tuple[int, int]] = []
-
-    def collect(v: int, q: int) -> None:
-        # ensure v ends holding >= q pebbles, drawing from its subtree
-        deficit = q - counts[v]
-        for c in children[v]:
-            if deficit <= 0:
-                break
-            take = min(deficit, fold[c] // 2)
-            if take <= 0:
-                continue
-            collect(c, 2 * take)
-            for _ in range(take):
-                moves.append((c, v))
-            counts[c] -= 2 * take
-            counts[v] += take
-            deficit -= take
-
-    collect(r, t)
-    final = MoveSequence(tuple(moves)).replay(tree, D)
-    assert final[r] >= t
-    cost = sum(
-        max(0, D[v] - final[v]) for v in range(n) if v != r
-    )
-    return True, cost, MoveSequence(tuple(moves))

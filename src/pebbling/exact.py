@@ -5,6 +5,12 @@ pebble never helps), so each invariant reduces to: find the first size at
 which no unsolvable witness exists. Witness existence per size is decided by
 a pruned composition search in the compiled kernels, with exact per-family
 oracles (trees, cycles) and a DFS decider for everything else.
+
+Solvability does not change under the automorphisms that keep the target,
+so each scan decides only one composition per orbit of that stabilizer:
+the lexicographically largest along the scan's vertex order. The
+stabilizer's elements come from graphs._stabilizer_elements, built once per
+scanned target and never for a single decision.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from pebbling.engine import PebbleDistribution, _scaled_weights
 from pebbling.errors import BudgetExceededError
 from pebbling.graphs import (
     Graph,
+    _stabilizer_elements,
     composition_orbits,
     compositions,
     serialize_graph6,
@@ -43,6 +50,10 @@ class Budget:
 
     scan_nodes, dfs_nodes and wall_secs are spent over one whole call, all
     its targets and scan sizes together, not per target or per size.
+    max_pebbles caps the sizes that scans and the optimal number's
+    enumeration reach, and sets the DFS memo's packing base. It does not cap
+    the tree DP behind point targets on trees: pebbling_number on path:6 at
+    t=3 returns 96 under the default of 32.
     """
 
     max_n: int = 8
@@ -200,7 +211,9 @@ class _TargetContext:
         wa = ga.wint[:, anchors]
         self.tneed = target @ wa
         captab = (target << ga.dist).sum(axis=1)
-        order = np.argsort(-ga.dist[:, anchors].min(axis=1), kind="stable")
+        self.order = order = np.argsort(
+            -ga.dist[:, anchors].min(axis=1), kind="stable"
+        )
         # suffix maxima of anchor weights along the assignment order
         bestw = np.zeros((anchors.size, n), dtype=np.int64)
         bestw[:, :-1] = np.maximum.accumulate(wa[order[:0:-1]], axis=0)[::-1].T
@@ -330,6 +343,16 @@ def _guaranteed_witness(tc: _TargetContext) -> tuple[int, np.ndarray]:
     return int(sizes[ai]), witness
 
 
+def _leader_perms(g: Graph, target: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Automorphisms that keep the target, as the kernel's position rows:
+    row g lists pos[s_g(order[i])] for each position i along order."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    elems = _stabilizer_elements(g, target.tolist(), order.tolist())
+    images = np.array(elems, dtype=np.int64).reshape(-1, order.size)
+    return pos[images[:, order]]
+
+
 def _min_size_for_target(
     ga: _GraphArrays, target: np.ndarray
 ) -> tuple[int, np.ndarray, int]:
@@ -345,6 +368,7 @@ def _min_size_for_target(
     s0, witness = _guaranteed_witness(tc)
     if s0 - 1 > 0:
         assert not tc.decide(witness), "weight-bound witness must be unsolvable"
+    perms = _leader_perms(ga.g, target, tc.order)
     enumerated = 0
     s = s0
     while True:
@@ -359,7 +383,9 @@ def _min_size_for_target(
         while code == K.PAUSED and ga.scan_left > 0:
             ga.check_clock(s, enumerated)
             give = min(ga.scan_left, SLICE_NODES)
-            code, nodes = K.witness_scan(ga.kind, tc.record, cursor, give, ga.dfs_box)
+            code, nodes = K.witness_scan(
+                ga.kind, tc.record, cursor, give, ga.dfs_box, perms
+            )
             ga.scan_left -= int(nodes)
             enumerated += int(nodes)
         if code in (K.PAUSED, K.REFUSED):

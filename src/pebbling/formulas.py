@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from pebbling.engine import MoveSequence, PebbleDistribution
-from pebbling.graphs import Graph, diameter, make_family
+from pebbling.graphs import Graph, diameter
 
 __all__ = [
     "PathPartition",
@@ -26,7 +25,6 @@ __all__ = [
     "coefficient",
     "radius_bound",
     "diam2_bounds",
-    "star_fourth_pebble",
     "fractional_pebbling_number",
     "diambound_threshold",
     "gnd_lower_bound",
@@ -221,44 +219,6 @@ def diam2_bounds(
         )
     )
     return tuple(reports)
-
-
-def star_fourth_pebble(p: int, i: int) -> tuple[int, int, MoveSequence]:
-    """Schedule on the star with p outer vertices, center preloaded with i
-    pebbles and every outer vertex with 3: delivers a fourth pebble onto
-    Q = (p+i) div 3 outer vertices, consuming 3Q - i outer vertices and
-    leaving R = (p+i) mod 3 untouched.
-
-    Two pebbles at the center buy one delivery; a consumed outer vertex
-    trades two of its three pebbles for one center pebble. The returned
-    schedule is replay-verified before being handed back.
-    """
-    if p < 2:
-        raise ValueError("star needs p >= 2 outer vertices")
-    if not 0 <= i <= 2:
-        raise ValueError("center preload i must be 0, 1, or 2")
-    Q, R = divmod(p + i, 3)
-    center = 0
-    targets = list(range(1, Q + 1))
-    donors = iter(range(Q + 1, 3 * Q - i + 1))
-    stock = i
-    moves: list[tuple[int, int]] = []
-    for tgt in targets:
-        need = 2 - min(stock, 2)
-        stock -= min(stock, 2)
-        for _ in range(need):
-            moves.append((next(donors), center))
-        moves.append((center, tgt))
-    seq = MoveSequence(tuple(moves))
-
-    g = make_family("star", p)
-    start = PebbleDistribution((i,) + (3,) * p)
-    final = seq.replay(g, start)
-    got_fourth = [v for v in range(1, p + 1) if final[v] >= 4]
-    untouched = [v for v in range(1, p + 1) if final[v] == 3]
-    if len(got_fourth) != Q or len(untouched) != R:
-        raise AssertionError("fourth-pebble schedule failed replay check")
-    return Q, R, seq
 
 
 def fractional_pebbling_number(g: Graph) -> int:

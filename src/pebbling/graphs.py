@@ -9,7 +9,9 @@ Symmetry comes from one backtracking search over profile-filtered candidate
 images: `automorphisms` lists the group for reference, and
 `composition_orbits` places each weak composition by searches stopped at the
 first hit, without listing it. Vertex orbits are the orbits of the
-one-pebble compositions, and a vertex-transitive graph is one orbit.
+one-pebble compositions, and a vertex-transitive graph is one orbit. The
+same first-hit searches, pinned along a base order, give the elements of a
+target's stabilizer that the composition scans prune with.
 """
 from __future__ import annotations
 
@@ -299,6 +301,34 @@ def composition_orbits(g: Graph, t: int) -> list[list[tuple[int, ...]]]:
             same.append([c])
             orbits.append(same[-1])
     return orbits
+
+
+def _stabilizer_elements(
+    g: Graph, values: Sequence[int], base: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Automorphisms that keep `values` (values[s[v]] == values[v]), as image
+    tuples s: one for each base position i and image w != base[i] that has
+    one, fixing base[:i] pointwise and sending base[i] to w. Together they
+    generate the stabilizer of values, level by level along base.
+
+    Each comes from a search stopped at the first hit, so there are at most
+    n(n-1)/2 searches and the group is never listed. An automorphism that
+    fixes b keeps every distance to b, and one that sends b to w sends the
+    vertices at distance k from b to those at distance k from w; both
+    filters narrow the candidates before each search.
+    """
+    d = g.distances.tolist()
+    cls = _profile_classes(g)
+    cand = [[w for w in cls[v] if values[w] == values[v]] for v in range(g.n)]
+    out: list[tuple[int, ...]] = []
+    for b in base:
+        for w in cand[b]:
+            if w == b:
+                continue
+            pinned = [[x for x in cand[v] if d[x][w] == d[v][b]] for v in range(g.n)]
+            out.extend(_search(g, pinned, stop_at=1))
+        cand = [[x for x in cand[v] if d[x][b] == d[v][b]] for v in range(g.n)]
+    return out
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:

@@ -2,6 +2,9 @@
 and file outputs. Everything drives main() in-process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,26 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestVersion:
+    def test_version_names_the_kernel_backend(self, capsys):
+        import pebbling
+        import pebbling._kernels as K
+
+        code, out, _ = run(capsys, "--version")
+        assert code == EXIT_PASS
+        assert out.strip() == f"pebble {pebbling.__version__}, kernels: {K.BACKEND}"
+        # the flag is read at import, so probe it in a subprocess
+        env = dict(os.environ, PEBBLE_PURE_PYTHON="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pebbling.cli", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert proc.stdout.strip().endswith(
+            "kernels: pure-python (PEBBLE_PURE_PYTHON=1)"
+        )
 
 
 class TestCompute:

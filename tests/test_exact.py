@@ -259,20 +259,20 @@ class TestBudgets:
             pebbling_number(g, 1, Budget(scan_nodes=3))
 
     def test_dfs_node_budget_covers_the_whole_call(self):
-        # pi_2(W_6) = 10 spends 10609 DFS nodes over nine scans, but no
-        # single scan spends 8288 of them.
+        # pi_2(W_6) = 10 spends 5061 DFS nodes over nine scans, but no
+        # single scan spends 4402 of them.
         g = make_family("wheel", 6)
         with pytest.raises(BudgetExceededError, match="DFS node budget"):
-            pebbling_number(g, 2, Budget(dfs_nodes=8288))
+            pebbling_number(g, 2, Budget(dfs_nodes=4402))
         assert pebbling_number(g, 2).value == 10
 
     def test_scan_node_budget_covers_the_whole_call(self):
-        # pi(W_5) = 6 takes 657 scan nodes over two root orbits; its largest
-        # single scan takes 324.
+        # pi(W_5) = 6 takes 442 scan nodes over two root orbits; its largest
+        # single scan takes 214.
         g = make_family("wheel", 5)
         with pytest.raises(BudgetExceededError, match="scan node budget"):
             pebbling_number(g, 1, Budget(scan_nodes=400))
-        assert pebbling_number(g, 1, Budget(scan_nodes=657)).value == 6
+        assert pebbling_number(g, 1, Budget(scan_nodes=442)).value == 6
 
     def test_wall_clock_budget_is_checked_within_a_scan(self):
         # the scan at |D| = 27 on C_7 alone runs for seconds

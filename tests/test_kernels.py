@@ -21,11 +21,19 @@ from pebbling.engine import PebbleDistribution, is_reachable
 from pebbling.exact import (
     Budget,
     _GraphArrays,
+    _guaranteed_witness,
+    _leader_perms,
     _TargetContext,
     compositions,
     rooted_pebbling_number,
 )
-from pebbling.graphs import Graph, make_family
+from pebbling.graphs import (
+    Graph,
+    _stabilizer_elements,
+    automorphisms,
+    composition_orbits,
+    make_family,
+)
 
 
 def tree_arrays(g, root):
@@ -294,11 +302,12 @@ def test_paused_scan_resumes_where_it_stopped(family, n, t):
         for give in (1 << 30, 1, 7):
             ga = _GraphArrays(g, Budget())
             tc = _TargetContext(ga, target)
+            perms = _leader_perms(g, target, tc.order)
             cursor = K.scan_cursor(g.n, tc.anchors.size, s)
             code, spent = K.PAUSED, 0
             while code == K.PAUSED:
                 code, nodes = K.witness_scan(
-                    ga.kind, tc.record, cursor, give, ga.dfs_box
+                    ga.kind, tc.record, cursor, give, ga.dfs_box, perms
                 )
                 assert nodes <= give
                 spent += int(nodes)
@@ -307,6 +316,78 @@ def test_paused_scan_resumes_where_it_stopped(family, n, t):
         assert runs[1] == runs[0] and runs[2] == runs[0], (s, runs)
         codes.add(runs[0][0])
     assert codes == {K.FOUND, K.NONE}
+
+
+def leader_cases(source):
+    """Graphs with every point target at t = 1, 2 and one target of each
+    orbit of size 2."""
+    if source == "cycles":
+        graphs = [make_family("cycle", n) for n in range(4, 8)]
+    else:
+        graphs = load_catalog(source, max_n=5)
+    for g in graphs:
+        targets = {
+            tuple(int(x) for x in np.eye(1, g.n, r, dtype=np.int64)[0] * t)
+            for r in range(g.n)
+            for t in (1, 2)
+        }
+        targets |= {orbit[0] for orbit in composition_orbits(g, 2)}
+        for target in sorted(targets):
+            yield g, np.array(target, dtype=np.int64)
+
+
+def whole_scan(ga, tc, s, perms):
+    cursor = K.scan_cursor(ga.n, tc.anchors.size, s)
+    code, _ = K.witness_scan(ga.kind, tc.record, cursor, 1 << 40, ga.dfs_box, perms)
+    return code, PebbleDistribution(tuple(int(x) for x in cursor[1]))
+
+
+class TestLeaderScan:
+    """The scan restricted to lex-leaders under the target's stabilizer,
+    against the same kernel given no automorphisms, which decides every
+    composition it reaches."""
+
+    @pytest.mark.parametrize("source", ["connected_up_to_6", "cycles"])
+    def test_pruned_scan_matches_unpruned(self, source):
+        for g, target in leader_cases(source):
+            ga = _GraphArrays(g, Budget(max_pebbles=80))
+            tc = _TargetContext(ga, target)
+            perms = _leader_perms(g, target, tc.order)
+            none = np.zeros((0, g.n), dtype=np.int64)
+            goal = PebbleDistribution(tuple(int(x) for x in target))
+            s, code = _guaranteed_witness(tc)[0], K.FOUND
+            while code == K.FOUND:
+                code, witness = whole_scan(ga, tc, s, perms)
+                want, _ = whole_scan(ga, tc, s, none)
+                assert code == want, (g.edges, target, s)
+                if code == K.FOUND:
+                    assert witness.size == s
+                    assert not is_reachable(g, witness, goal), (g.edges, witness)
+                s += 1
+
+    @pytest.mark.parametrize("source", ["connected_up_to_6", "cycles"])
+    def test_elements_generate_the_target_stabilizer(self, source):
+        """Each element is an automorphism from the full listing that keeps
+        the target, and together they generate every such automorphism."""
+        for g, target in leader_cases(source):
+            listed = automorphisms(g)
+            keep = {
+                s for s in listed
+                if all(target[s[v]] == target[v] for v in range(g.n))
+            }
+            order = _TargetContext(_GraphArrays(g, Budget()), target).order
+            elems = _stabilizer_elements(g, target.tolist(), order.tolist())
+            assert set(elems) <= keep
+            closure = {tuple(range(g.n))}
+            frontier = list(closure)
+            while frontier:
+                a = frontier.pop()
+                for b in elems:
+                    ab = tuple(b[a[v]] for v in range(g.n))
+                    if ab not in closure:
+                        closure.add(ab)
+                        frontier.append(ab)
+            assert closure == keep, (g.edges, target)
 
 
 def test_pure_python_flag_selects_fallback():
