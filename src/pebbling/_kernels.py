@@ -33,11 +33,14 @@ spent over a whole public call.
 witness_scan also takes the automorphisms that keep its target, as rows of
 positions along order (exact._leader_perms; no rows scans everything). It
 decides only compositions that no row maps to a lexicographically larger
-one along order, the leader test, run on every prefix before its decision.
-It never decides a prefix once a larger choice at the same level was NONE,
-the known-NONE flag. Its cursor (scan_cursor) holds the level, the counts
-and, per level, the pebbles left, the choice, the prefix weights and the
-known-NONE flag, so a PAUSED scan resumes exactly where it stopped.
+one along order, the leader test, run on every choice it visits.
+Solvability is monotone in the count on the vertex a level assigns, so each
+level has a threshold: the least count there that makes the prefix solvable
+with its tail at zero. The scan finds it by deciding upward from a lower
+bound, low, visits only the choices below it, and decides none of those.
+Its cursor (scan_cursor) holds the level, the counts and, per level, the
+pebbles left, the choice, the prefix weights and low, so a PAUSED scan
+resumes exactly where it stopped.
 """
 from __future__ import annotations
 
@@ -328,14 +331,16 @@ def _decide_solvable(counts, kind, record, dfs_box):
 
 def scan_cursor(n, nanch, s):
     """A witness_scan cursor at the start of the scan of size s: the
-    position p and the counts, rem_stack, choice, prefw and known arrays."""
+    position p and the counts, rem_stack, choice, prefw and low arrays.
+    choice[0] = s + 2 marks level 0 as not yet searched for its threshold,
+    and low[0] = 1 skips the empty distribution, which covers no target."""
     rem_stack = np.zeros(n + 1, dtype=np.int64)
     choice = np.zeros(n + 1, dtype=np.int64)
-    rem_stack[0], choice[0] = s, s + 1
+    rem_stack[0], choice[0] = s, s + 2
     counts = np.zeros(n, dtype=np.int64)
     prefw = np.zeros((n + 1, nanch), dtype=np.int64)
-    known = np.zeros(n, dtype=np.int64)
-    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw, known
+    low = np.ones(n, dtype=np.int64)
+    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw, low
 
 
 @_maybe_jit
@@ -368,32 +373,44 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     monotone under adding pebbles) and short-circuiting whole subtrees where
     the weight bound proves every completion unsolvable.
 
+    The solvable prefixes of level p are the counts at or above its
+    threshold T, the least count on order[p] whose prefix with tail zero is
+    solvable. On entering level p < n-1 (choice[p] = rem + 2 marks it
+    unsearched) the scan decides the counts low[p], low[p] + 1, ... up to
+    the pebbles left, rem, and stops at the first solvable one: that is T,
+    or T = rem + 1 if none is. It then visits the choices min(T - 1, rem)
+    down to 0 without deciding them, since each is a sub-distribution of an
+    unsolvable prefix. Lowering the parent's count gives a sub-distribution
+    again, so the next sibling's threshold is no smaller: low[p] keeps T,
+    and low[p + 1] restarts at 1, since a zero there gives this level's
+    unsolvable prefix back. Leaves are decided one by one. A lower bound
+    that is too large would only visit solvable prefixes whose leaves are
+    all decided, never change an answer.
+
     perms holds automorphisms that keep the target, one a row, as positions
     along order: row k maps position i to perms[k, i], the position of the
-    image of order[i]. Every node, inner or leaf, first passes the leader
-    test: no row may map the assigned prefix to a lexicographically larger
-    one. The largest member of each orbit passes it, so only compositions
-    that no row can enlarge are decided, and an empty perms scans them all.
-    A composition fails exactly when its orbit's largest member fails, and
-    every prefix of a failing composition fails too, so no witness is lost.
+    image of order[i]. Every visited choice, inner or leaf, first passes the
+    leader test: no row may map the assigned prefix to a lexicographically
+    larger one. The largest member of each orbit passes it, so only
+    compositions that no row can enlarge are decided, and an empty perms
+    scans them all. A composition fails exactly when its orbit's largest
+    member fails, and every prefix of a failing composition fails too, so no
+    witness is lost.
 
-    Once the prefix at level p with tail zero decides NONE, every smaller
-    choice at level p gives a sub-distribution of it, NONE as well; the
-    cursor's known[p] records that, so those prefixes are not decided
-    again, and a descent into level p clears it.
-
-    Returns (code, scan_nodes), scan_nodes counting this call's nodes only,
-    pruned ones included; on FOUND the cursor's counts hold the witness.
-    Before it would spend a node beyond scan_budget it saves its position
-    in the cursor and returns PAUSED: the cursor holds the level p, the
-    counts, each level's remaining pebbles, choice, prefix weights and
-    known flag, so a resumed call goes on as one long call would.
-    Decisions draw on the caller's DFS node box dfs_box.
+    Returns (code, scan_nodes), scan_nodes counting the choices this call
+    visited, those the leader test rejects included; choices at or above a
+    level's threshold are never visited. On FOUND the cursor's counts hold
+    the witness. Before it would spend a node beyond scan_budget it saves
+    its position in the cursor and returns PAUSED: the cursor holds the
+    level p, the counts, each level's remaining pebbles, choice, prefix
+    weights and low, so a resumed call goes on as one long call would and
+    searches no level twice. Threshold and leaf decisions draw on the
+    caller's DFS node box dfs_box.
     """
     (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
      ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
      memo_used) = record
-    at, counts, rem_stack, choice, prefw, known = cursor
+    at, counts, rem_stack, choice, prefw, low = cursor
     nanch = anchors.shape[0]
     nodes = np.int64(0)
 
@@ -403,8 +420,8 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
         if nodes >= scan_budget and (p == n - 1 or choice[p] > 0):
             at[0] = p
             return PAUSED, nodes
+        v = order[p]
         if p == n - 1:
-            v = order[p]
             counts[v] = rem_stack[p]
             nodes += 1
             if _leads(perms, counts, order, p):
@@ -416,13 +433,28 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
             counts[v] = 0
             p -= 1
             continue
+        if choice[p] == rem_stack[p] + 2:
+            # the threshold: the least count on v that makes the prefix
+            # solvable with its tail at zero, searched upward from low[p]
+            x = low[p]
+            while x <= rem_stack[p]:
+                counts[v] = x
+                code = _decide_solvable(counts, kind, record, dfs_box)
+                if code == REFUSED:
+                    return REFUSED, nodes
+                if code == FOUND:
+                    break
+                x += 1
+            low[p] = x
+            # a zero on the next vertex gives this level's NONE prefix back
+            low[p + 1] = 1
+            choice[p] = min(x, rem_stack[p] + 1)
         choice[p] -= 1
         c = choice[p]
         if c < 0:
-            counts[order[p]] = 0
+            counts[v] = 0
             p -= 1
             continue
-        v = order[p]
         counts[v] = c
         nodes += 1
         if not _leads(perms, counts, order, p):
@@ -436,16 +468,7 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
             if prefw[p + 1, a] + rem * bestw[a, p] < tneed[a]:
                 counts[order[n - 1]] += rem
                 return FOUND, nodes
-        # a solvable prefix only gets more solvable as the tail is filled in
-        if not known[p]:
-            code = _decide_solvable(counts, kind, record, dfs_box)
-            if code == REFUSED:
-                return REFUSED, nodes
-            if code == FOUND:
-                continue
-            known[p] = 1
         p += 1
         rem_stack[p] = rem
-        choice[p] = rem + 1
-        known[p] = 0
+        choice[p] = rem + 2
     return NONE, nodes

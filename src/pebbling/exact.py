@@ -49,7 +49,9 @@ class Budget:
     """Resource limits; exceeding any of them raises BudgetExceededError.
 
     scan_nodes, dfs_nodes and wall_secs are spent over one whole call, all
-    its targets and scan sizes together, not per target or per size.
+    its targets and scan sizes together, not per target or per size. A scan
+    node is a choice the composition scan visits; the choices at or above a
+    level's threshold (the least solvable count there) are never visited.
     max_pebbles caps the sizes that scans and the optimal number's
     enumeration reach, and sets the DFS memo's packing base. It does not cap
     the tree DP behind point targets on trees: pebbling_number on path:6 at
@@ -103,8 +105,9 @@ class PebblingStat:
         }
 
 
-# scan nodes between two clock checks: 30-70 ms of the pure-Python kernels
-# at 15-35 us a node
+# scan nodes between two clock checks: 25-130 ms of the pure-Python kernels
+# at 12-15 us a node on cycles and 47-63 us on general graphs, the threshold
+# decisions included
 SLICE_NODES = 2048
 
 # One memo arena per size and one epoch counter per thread; epochs

@@ -259,24 +259,24 @@ class TestBudgets:
             pebbling_number(g, 1, Budget(scan_nodes=3))
 
     def test_dfs_node_budget_covers_the_whole_call(self):
-        # pi_2(W_6) = 10 spends 5061 DFS nodes over nine scans, but no
-        # single scan spends 4402 of them.
+        # pi_2(W_6) = 10 spends 4708 DFS nodes over nine scans, but no
+        # single scan spends 4402 of them (the largest spends 4015).
         g = make_family("wheel", 6)
         with pytest.raises(BudgetExceededError, match="DFS node budget"):
             pebbling_number(g, 2, Budget(dfs_nodes=4402))
         assert pebbling_number(g, 2).value == 10
 
     def test_scan_node_budget_covers_the_whole_call(self):
-        # pi(W_5) = 6 takes 442 scan nodes over two root orbits; its largest
-        # single scan takes 214.
+        # pi(W_5) = 6 takes 208 scan nodes over two root orbits; its largest
+        # single scan takes 98.
         g = make_family("wheel", 5)
         with pytest.raises(BudgetExceededError, match="scan node budget"):
-            pebbling_number(g, 1, Budget(scan_nodes=400))
-        assert pebbling_number(g, 1, Budget(scan_nodes=442)).value == 6
+            pebbling_number(g, 1, Budget(scan_nodes=150))
+        assert pebbling_number(g, 1, Budget(scan_nodes=208)).value == 6
 
     def test_wall_clock_budget_is_checked_within_a_scan(self):
-        # the scan at |D| = 27 on C_7 alone runs for seconds
-        g = make_family("cycle", 7)
+        # the scan at |D| = 48 on C_8 alone runs for seconds
+        g = make_family("cycle", 8)
         started = time.monotonic()
         with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
             pebbling_number(g, 3, Budget(wall_secs=0.5, max_pebbles=80))

@@ -318,11 +318,11 @@ def test_paused_scan_resumes_where_it_stopped(family, n, t):
     assert codes == {K.FOUND, K.NONE}
 
 
-def leader_cases(source):
+def leader_cases(source, cycle_sizes=range(4, 8)):
     """Graphs with every point target at t = 1, 2 and one target of each
     orbit of size 2."""
     if source == "cycles":
-        graphs = [make_family("cycle", n) for n in range(4, 8)]
+        graphs = [make_family("cycle", n) for n in cycle_sizes]
     else:
         graphs = load_catalog(source, max_n=5)
     for g in graphs:
@@ -388,6 +388,62 @@ class TestLeaderScan:
                         closure.add(ab)
                         frontier.append(ab)
             assert closure == keep, (g.edges, target)
+
+
+class TestThresholdScan:
+    """The threshold scan against plain enumeration, which decides every
+    composition of a size with no scan at all."""
+
+    @pytest.mark.parametrize("source", ["connected_up_to_6", "cycles"])
+    def test_scan_matches_plain_enumeration(self, source, monkeypatch):
+        """At every size from the weight bound to the value the scan returns
+        the code plain enumeration gives, and its witness fails under the
+        reference engine. Every inner choice it visits is an unsolvable
+        prefix, so no choice at or above a level's threshold is visited: a
+        threshold overestimated from a wrong lower bound changes no answer,
+        only the visits. The visits are seen through the leader test, which
+        the interpreted kernels look up at call time."""
+        visits = []
+        leads = K._leads
+
+        def visit(perms, counts, order, p):
+            visits.append((p, counts.copy()))
+            return leads(perms, counts, order, p)
+
+        monkeypatch.setattr(K, "_leads", visit)
+        for g, target in leader_cases(source, cycle_sizes=range(4, 7)):
+            ga = _GraphArrays(g, Budget(max_pebbles=80))
+            tc = _TargetContext(ga, target)
+            perms = _leader_perms(g, target, tc.order)
+            goal = PebbleDistribution(tuple(int(x) for x in target))
+
+            def solvable(counts):
+                code = K._decide_solvable(counts, ga.kind, tc.record, ga.dfs_box)
+                assert code != K.REFUSED
+                return code == K.FOUND
+
+            s, code = _guaranteed_witness(tc)[0], K.FOUND
+            while code == K.FOUND:
+                visits.clear()
+                cursor = K.scan_cursor(g.n, tc.anchors.size, s)
+                code, nodes = K.witness_scan(
+                    ga.kind, tc.record, cursor, 1 << 40, ga.dfs_box, perms
+                )
+                plain = all(
+                    solvable(np.array(c, dtype=np.int64))
+                    for c in compositions(s, g.n)
+                )
+                assert code == (K.NONE if plain else K.FOUND), (g.edges, target, s)
+                if code == K.FOUND:
+                    witness = PebbleDistribution(tuple(int(x) for x in cursor[1]))
+                    assert witness.size == s
+                    assert not is_reachable(g, witness, goal), (g.edges, witness)
+                if K.PURE_PYTHON:
+                    assert len(visits) == nodes
+                for p, prefix in visits:
+                    if p < g.n - 1:
+                        assert not solvable(prefix), (g.edges, target, s, prefix)
+                s += 1
 
 
 def test_pure_python_flag_selects_fallback():

@@ -11,7 +11,12 @@ checkouts that compute the same answers print the same lines:
 
     python3 tools/output_digest.py > before.txt   # in one checkout
     python3 tools/output_digest.py | diff before.txt -   # in the other
+
+With --without-counts the `enumerated_count` fields are dropped as well, so
+two checkouts that search differently for the same answers print the same
+lines.
 """
+import argparse
 import hashlib
 import json
 import os
@@ -53,11 +58,18 @@ def commands() -> list[list[str]]:
     return out
 
 
-def _untimed(obj: dict) -> dict:
-    return {k: v for k, v in obj.items() if k != "elapsed_ms"}
-
-
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--without-counts", action="store_true",
+        help="also drop enumerated_count before hashing",
+    )
+    args = parser.parse_args()
+    dropped = {"elapsed_ms"} | ({"enumerated_count"} if args.without_counts else set())
+
+    def stripped(obj: dict) -> dict:
+        return {k: v for k, v in obj.items() if k not in dropped}
+
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     # conjecture counterexample files land in the scratch working directory
     with tempfile.TemporaryDirectory() as scratch:
@@ -66,7 +78,7 @@ def main() -> None:
                 [sys.executable, "-m", "pebbling.cli", *cmd, "--format", "json"],
                 env=env, cwd=scratch, capture_output=True, text=True,
             )
-            out = json.loads(proc.stdout or "null", object_hook=_untimed)
+            out = json.loads(proc.stdout or "null", object_hook=stripped)
             body = json.dumps(out, sort_keys=True)
             digest = hashlib.sha256(f"{proc.returncode}\n{body}".encode()).hexdigest()
             print(f"{digest}  {' '.join(cmd)}")
