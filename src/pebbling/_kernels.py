@@ -166,6 +166,9 @@ def _pack(c, base, n):
 
 @_maybe_jit
 def _memo_has(keys, stamps, epoch, key):
+    """1 if key is stored under epoch, else 0. A slot whose stamp is not
+    epoch is empty for this epoch: the stamps start at 0 and the epochs at
+    1, so a fresh arena is empty for all of them."""
     cap = keys.shape[0]
     # int() lifts numpy scalars to unbounded ints interpreted, so the wrap
     # stays silent; compiled int64 math wraps to the same masked bits
@@ -181,7 +184,9 @@ def _memo_has(keys, stamps, epoch, key):
 
 @_maybe_jit
 def _memo_add(keys, stamps, epoch, key, used):
-    """Returns 0 on success, -1 when the table is too loaded to accept more."""
+    """Stores key under epoch, taking the first slot stamped with another
+    epoch (0 for a slot never written). Returns 0 on success, -1 when the
+    table is too loaded to accept more."""
     cap = keys.shape[0]
     if used[0] * 10 >= cap * 7:
         return -1

@@ -11,6 +11,12 @@ so each scan decides only one composition per orbit of that stabilizer:
 the lexicographically largest along the scan's vertex order. The
 stabilizer's elements come from graphs._stabilizer_elements, built once per
 scanned target and never for a single decision.
+
+A decision at every root (is_solvable_distribution, and each composition
+the optimal number's enumeration tries) first runs two array tests over all
+roots at once: the weight bound, which rejects, and the single pile, which
+settles a root. Only the roots left open get a target context, built the
+first time one is needed, and a kernel decision.
 """
 from __future__ import annotations
 
@@ -111,10 +117,13 @@ class PebblingStat:
 SLICE_NODES = 2048
 
 # One memo arena per size and one epoch counter per thread; epochs
-# invalidate stale entries in O(1). Arenas are kept across calls because
-# allocating one per call costs 0.1-0.9 ms against a 0.21 ms decision. They
-# are per thread because a shared counter can hand two threads the same
-# epoch, and then each takes the other's failed states for its own.
+# invalidate stale entries in O(1). Epochs start at 1, so zeroed stamps mark
+# every slot empty, and a run that stores no DFS state never writes the
+# arena's pages, which then take no memory. Arenas are kept across calls
+# because allocating one per call costs 0.1-0.9 ms against a 0.21 ms
+# decision. They are per thread because a shared counter can hand two
+# threads the same epoch, and then each takes the other's failed states for
+# its own.
 class _Arena(threading.local):
     def __init__(self) -> None:
         self.memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -130,7 +139,7 @@ def _memo_buffers(bits: int) -> tuple[np.ndarray, np.ndarray]:
         cap = 1 << bits
         memo[bits] = (
             np.zeros(cap, dtype=np.int64),
-            np.full(cap, -1, dtype=np.int64),
+            np.zeros(cap, dtype=np.int64),
         )
     return memo[bits]
 
@@ -155,10 +164,10 @@ class _GraphArrays:
         self.scan_left = budget.scan_nodes
         self.n = g.n
         self.dist = g.distances.astype(np.int64)
-        self.wint, maxd = _scaled_weights(g)
+        self.wint, self.maxd = _scaled_weights(g)
         if self.wint.dtype == object:
             raise BudgetExceededError(
-                f"diameter {maxd} overflows the kernels' 64-bit weights"
+                f"diameter {self.maxd} overflows the kernels' 64-bit weights"
             )
         self.tparents = g.parents
         self.torders = np.argsort(-self.dist, axis=1, kind="stable")
@@ -247,6 +256,39 @@ class _TargetContext:
         if code == K.REFUSED:
             raise BudgetExceededError(self.refusal())
         return code == K.FOUND
+
+
+def _solvable_at_every_root(
+    ga: _GraphArrays,
+    arr: np.ndarray,
+    size: int,
+    t: int,
+    contexts: list[_TargetContext | None],
+    best_lower: int | None = None,
+    nodes: int | None = None,
+) -> bool:
+    """Can arr, of size pebbles, deliver t pebbles to every root? The clock
+    is read first, with best_lower and nodes for its refusal. While
+    (size + t) << maxd fits in 62 bits, two array tests run over all roots:
+    a weight arr @ wint below t * 2**maxd at some root rejects, and a pile
+    arr[v] >= t << dist(v, r) settles root r (v = r is containment). Each
+    root left open is decided after another clock read, through contexts[r],
+    built on first use; the caller owns contexts and may keep it across
+    calls."""
+    ga.check_clock(best_lower, nodes)
+    roots = range(ga.n)
+    if (size + t) << ga.maxd < 1 << 62:
+        if (arr @ ga.wint).min() < t << ga.maxd:
+            return False
+        roots = np.flatnonzero((arr[:, None] < t << ga.dist).all(axis=0))
+    for r in roots:
+        ga.check_clock(best_lower, nodes)
+        tc = contexts[r]
+        if tc is None:
+            tc = contexts[r] = _TargetContext(ga, _point(ga.n, r, t))
+        if not tc.decide(arr):
+            return False
+    return True
 
 
 def _check_budget(g: Graph, t: int, budget: Budget) -> None:
@@ -483,7 +525,10 @@ def is_solvable_distribution(
 ) -> bool:
     """True iff D can deliver t pebbles to every vertex, decided by the
     fast kernels (exact tree and cycle oracles, pruned search elsewhere).
-    The budget's deadline is read before each root's decision."""
+    The weight bound and the single pile are tested at every root first,
+    and only the roots they leave open get a context and a kernel decision.
+    The budget's deadline is read once before the array tests and again
+    before each open root's decision."""
     _check_budget(g, t, budget)
     if len(D) != g.n:
         raise ValueError("distribution length does not match graph order")
@@ -491,12 +536,7 @@ def is_solvable_distribution(
     # count a search from D can hold
     wide = replace(budget, max_pebbles=max(budget.max_pebbles, D.size))
     ga = _GraphArrays(g, wide)
-    arr = D.as_array()
-    for r in range(g.n):
-        ga.check_clock()
-        if not _TargetContext(ga, _point(g.n, r, t)).decide(arr):
-            return False
-    return True
+    return _solvable_at_every_root(ga, D.as_array(), D.size, t, [None] * g.n)
 
 
 def optimal_pebbling_number(
@@ -504,15 +544,16 @@ def optimal_pebbling_number(
 ) -> PebblingStat:
     """Smallest size of any t-fold solvable distribution, with a minimal
     solvable witness. Ascending size, full enumeration per size; each
-    composition tried is one scan node of the budget."""
+    composition tried is one scan node of the budget. One list of target
+    contexts serves the whole enumeration, each built the first time a
+    composition leaves its root open."""
     started = time.perf_counter()
     _check_budget(g, t, budget)
     ga = _GraphArrays(g, budget)
-    contexts = [_TargetContext(ga, _point(g.n, r, t)) for r in range(g.n)]
+    contexts: list[_TargetContext | None] = [None] * g.n
     enumerated = 0
     for k in range(t, budget.max_pebbles + 1):
         for comp in compositions(k, g.n):
-            ga.check_clock(k, enumerated)
             enumerated += 1
             ga.scan_left -= 1
             if ga.scan_left < 0:
@@ -522,7 +563,8 @@ def optimal_pebbling_number(
                     nodes=enumerated,
                 )
             arr = np.array(comp, dtype=np.int64)
-            if all(tc.decide(arr) for tc in contexts):
+            # a clock refusal counts the compositions decided before this one
+            if _solvable_at_every_root(ga, arr, k, t, contexts, k, enumerated - 1):
                 return _stat(
                     g, "pi_star_t", t, k, arr, started, enumerated
                 )

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pebbling.exact as exact
 from pebbling.catalogs import load_catalog
 from pebbling.engine import PebbleDistribution, is_t_fold_solvable
 from pebbling.errors import BudgetExceededError
@@ -28,7 +29,7 @@ from pebbling.exact import (
     pebbling_number,
     rooted_pebbling_number,
 )
-from pebbling.graphs import make_family, parse_graph6
+from pebbling.graphs import make_family, parse_graph6, serialize_graph6
 
 WIDE = Budget(max_pebbles=80)
 
@@ -326,6 +327,57 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="max_t=1"):
             is_solvable_distribution(g, D, 5, Budget(max_n=9, max_t=1))
         assert not is_solvable_distribution(g, D, 5, Budget(max_n=9, max_t=5))
+
+    def test_optimal_number_clock_refusal_carries_bounds(self):
+        # pi*_4(P_8) = 15 takes seconds; every size below 4 is skipped, so
+        # a refusal at any composition proves at least 4
+        g = make_family("path", 8)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted") as exc:
+            optimal_pebbling_number(g, 4, Budget(wall_secs=0.3))
+        assert time.monotonic() - started < 1.5
+        assert exc.value.best_lower >= 4
+        assert exc.value.nodes > 0
+
+
+class TestAllRootsDecision:
+    """is_solvable_distribution runs the weight bound and the single pile
+    over all roots before it builds any target context."""
+
+    @pytest.mark.parametrize(
+        "g",
+        # the catalog holds C_5 as make_family builds it
+        [make_family("path", 5), make_family("star", 5), make_family("cycle", 6),
+         *load_catalog("connected_up_to_6", max_n=5)],
+        ids=serialize_graph6,
+    )
+    def test_matches_the_reference_engine(self, g):
+        # every distribution of size up to n + 1 at t = 1 and n + 2 at t = 2
+        for t, extra in ((1, 1), (2, 2)):
+            for s in range(1, g.n + extra + 1):
+                for comp in compositions(s, g.n):
+                    D = PebbleDistribution(comp)
+                    assert is_solvable_distribution(g, D, t) == is_t_fold_solvable(
+                        g, D, t
+                    ), (comp, t)
+
+    def test_array_tests_need_no_context(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a target context was built")
+
+        monkeypatch.setattr(exact, "_TargetContext", refuse)
+        g = make_family("hypercube", 3)
+        # eight pebbles on one vertex reach every root at distance <= 3
+        assert is_solvable_distribution(g, PebbleDistribution((8,) + (0,) * 7), 1)
+        # one pebble weighs 2**-dist, below 1 at every other root
+        assert not is_solvable_distribution(g, PebbleDistribution((0,) * 7 + (1,)), 1)
+
+    def test_large_totals_on_a_tree_skip_the_array_tests(self):
+        # (2**39 + 1) << 39 does not fit int64: arr @ wint would wrap
+        g = make_family("path", 40)
+        for s, want in ((2**39, True), (2**39 - 1, False)):
+            D = PebbleDistribution((s,) + (0,) * 39)
+            assert is_solvable_distribution(g, D, 1, Budget(max_n=40)) is want
 
 
 class TestCompositions:

@@ -4,10 +4,11 @@ Runs every `verify` suite and every `conjecture` at --max-n 4 --max-t 2,
 `verify --suite fracopt` at its defaults, and `pebble compute` for every
 --stat (at root 0 for pi_rooted) on a few small graphs, plus pi and pi_arb
 at t=3 on cycle:6 and cycle:5, pi_arb at t=2 on wheel:5 and hypercube:3,
-pi_star at t=2 on cycle:8 and hypercube:3, and pi on star:6 and pi_arb on
-star:5 at t=2 (groups of 720 and 120), all with --format json, and hashes
-each command's exit code and JSON minus its `elapsed_ms` fields. Two
-checkouts that compute the same answers print the same lines:
+pi_star at t=2 on cycle:8 and hypercube:3 and at t=3 on path:8, and pi on
+star:6 and pi_arb on star:5 at t=2 (groups of 720 and 120), all with
+--format json, and hashes each command's exit code and JSON minus its
+`elapsed_ms` fields. Two checkouts that compute the same answers print the
+same lines:
 
     python3 tools/output_digest.py > before.txt   # in one checkout
     python3 tools/output_digest.py | diff before.txt -   # in the other
@@ -52,6 +53,8 @@ def commands() -> list[list[str]]:
     # the optimal number's enumeration past size 5, on a cycle and a cube
     out.append(["compute", "cycle:8", "--stat", "pi_star", "--t", "2"])
     out.append(["compute", "hypercube:3", "--stat", "pi_star", "--t", "2"])
+    # and on a tree past t=1, where the tree oracle decides the open roots
+    out.append(["compute", "path:8", "--stat", "pi_star", "--t", "3"])
     # large automorphism groups: vertex orbits, then target orbits
     out.append(["compute", "star:6", "--stat", "pi", "--t", "2"])
     out.append(["compute", "star:5", "--stat", "pi_arb", "--t", "2"])
