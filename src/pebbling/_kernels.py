@@ -18,8 +18,8 @@ paused, and resumes from its cursor when called again.
 
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
-(target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
- ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used).
+(target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
+ n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used).
 torders and tparents are the graph's n-row tree tables, shared by every
 target of a call: row r is the BFS tree rooted at r, as its vertices deepest
 first and the parent of each. The kernels pick rows by groots, the roots of
@@ -39,8 +39,8 @@ level has a threshold: the least count there that makes the prefix solvable
 with its tail at zero. The scan finds it by deciding upward from a lower
 bound, low, visits only the choices below it, and decides none of those.
 Its cursor (scan_cursor) holds the level, the counts and, per level, the
-pebbles left, the choice, the prefix weights and low, so a PAUSED scan
-resumes exactly where it stopped.
+pebbles left, the choice and low, so a PAUSED scan resumes exactly where it
+stopped.
 """
 from __future__ import annotations
 
@@ -295,9 +295,8 @@ def _decide_solvable(counts, kind, record, dfs_box):
     """1 if counts covers target, 0 if not, -1 refused. Exact for every kind:
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
-    (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
-     ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
-     memo_used) = record
+    (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
+     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used) = record
     if kind == 1:
         r = groots[0]
         return tree_multi_feasible(torders[r], tparents[r], r, counts, target)
@@ -334,18 +333,17 @@ def _decide_solvable(counts, kind, record, dfs_box):
     )
 
 
-def scan_cursor(n, nanch, s):
+def scan_cursor(n, s):
     """A witness_scan cursor at the start of the scan of size s: the
-    position p and the counts, rem_stack, choice, prefw and low arrays.
+    position p and the counts, rem_stack, choice and low arrays.
     choice[0] = s + 2 marks level 0 as not yet searched for its threshold,
     and low[0] = 1 skips the empty distribution, which covers no target."""
     rem_stack = np.zeros(n + 1, dtype=np.int64)
     choice = np.zeros(n + 1, dtype=np.int64)
     rem_stack[0], choice[0] = s, s + 2
     counts = np.zeros(n, dtype=np.int64)
-    prefw = np.zeros((n + 1, nanch), dtype=np.int64)
     low = np.ones(n, dtype=np.int64)
-    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, prefw, low
+    return np.zeros(1, dtype=np.int64), counts, rem_stack, choice, low
 
 
 @_maybe_jit
@@ -375,8 +373,7 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     Enumerates weak compositions of s over the vertices in `order` (far from
     the target first, counts descending), pruning every prefix that is
     already solvable with its unassigned tail at zero (solvability is
-    monotone under adding pebbles) and short-circuiting whole subtrees where
-    the weight bound proves every completion unsolvable.
+    monotone under adding pebbles).
 
     The solvable prefixes of level p are the counts at or above its
     threshold T, the least count on order[p] whose prefix with tail zero is
@@ -407,16 +404,14 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     level's threshold are never visited. On FOUND the cursor's counts hold
     the witness. Before it would spend a node beyond scan_budget it saves
     its position in the cursor and returns PAUSED: the cursor holds the
-    level p, the counts, each level's remaining pebbles, choice, prefix
-    weights and low, so a resumed call goes on as one long call would and
-    searches no level twice. Threshold and leaf decisions draw on the
-    caller's DFS node box dfs_box.
+    level p, the counts, each level's remaining pebbles, choice and low, so
+    a resumed call goes on as one long call would and searches no level
+    twice. Threshold and leaf decisions draw on the caller's DFS node box
+    dfs_box.
     """
-    (target, anchors, tneed, captab, order, bestw, torders, tparents, groots,
-     ef, et, n, wint, cycpos, base, memo_keys, memo_stamps, epoch,
-     memo_used) = record
-    at, counts, rem_stack, choice, prefw, low = cursor
-    nanch = anchors.shape[0]
+    (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
+     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used) = record
+    at, counts, rem_stack, choice, low = cursor
     nodes = np.int64(0)
 
     p = int(at[0])
@@ -464,15 +459,9 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
         nodes += 1
         if not _leads(perms, counts, order, p):
             continue
+        # no weight test: scans start at the weight bound, where every
+        # composition weighs enough at every anchor
         rem = rem_stack[p] - c
-        for a in range(nanch):
-            prefw[p + 1, a] = prefw[p, a] + c * wint[v, anchors[a]]
-        # if even the best-placed completion stays under the needed weight at
-        # some anchor, every completion is an unsolvable witness
-        for a in range(nanch):
-            if prefw[p + 1, a] + rem * bestw[a, p] < tneed[a]:
-                counts[order[n - 1]] += rem
-                return FOUND, nodes
         p += 1
         rem_stack[p] = rem
         choice[p] = rem + 2

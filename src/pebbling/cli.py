@@ -183,7 +183,7 @@ def _targets_instances(max_n, catalog):
     if catalog is not None:
         return [(serialize_graph6(g), g) for g in catalog if g.n <= max_n]
     return (
-        _TREES(min(max_n, 6), None)
+        _TREES(max_n, None)
         + _cycles(max_n, None)
         + [_family("complete", n) for n in range(2, max_n + 1)]
     )

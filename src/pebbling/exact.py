@@ -2,9 +2,10 @@
 
 The solvability threshold is monotone in distribution size (removing a
 pebble never helps), so each invariant reduces to: find the first size at
-which no unsolvable witness exists. Witness existence per size is decided by
-a pruned composition search in the compiled kernels, with exact per-family
-oracles (trees, cycles) and a DFS decider for everything else.
+which no unsolvable witness exists. On a tree one dynamic program over the
+tree oracle's recursion finds it for every target. On other graphs witness
+existence per size is decided by a pruned composition search in the compiled
+kernels, with an exact cycle oracle and a DFS decider for everything else.
 
 Solvability does not change under the automorphisms that keep the target,
 so each scan decides only one composition per orbit of that stabilizer:
@@ -60,8 +61,9 @@ class Budget:
     level's threshold (the least solvable count there) are never visited.
     max_pebbles caps the sizes that scans and the optimal number's
     enumeration reach, and sets the DFS memo's packing base. It does not cap
-    the tree DP behind point targets on trees: pebbling_number on path:6 at
-    t=3 returns 96 under the default of 32.
+    the tree DP, which answers every target on a tree: pebbling_number on
+    path:6 at t=3 returns 96 under the default of 32. The DP's states spend
+    scan_nodes.
     """
 
     max_n: int = 8
@@ -220,15 +222,11 @@ class _TargetContext:
         if anchors.size == 0:
             raise ValueError("target must place at least one pebble")
         self.anchors = anchors
-        wa = ga.wint[:, anchors]
-        self.tneed = target @ wa
+        self.tneed = target @ ga.wint[:, anchors]
         captab = (target << ga.dist).sum(axis=1)
         self.order = order = np.argsort(
             -ga.dist[:, anchors].min(axis=1), kind="stable"
         )
-        # suffix maxima of anchor weights along the assignment order
-        bestw = np.zeros((anchors.size, n), dtype=np.int64)
-        bestw[:, :-1] = np.maximum.accumulate(wa[order[:0:-1]], axis=0)[::-1].T
         by_dist = np.lexsort((ga.et, ga.ef, ga.dist[ga.et, anchors[0]]))
         ef, et = ga.ef[by_dist], ga.et[by_dist]
         # a tree is its own BFS tree, so one root serves the tree oracle;
@@ -237,7 +235,7 @@ class _TargetContext:
         self.memo_keys, memo_stamps = _memo_buffers(ga.budget.memo_bits)
         self.memo_used = np.zeros(1, dtype=np.int64)
         self.record = (
-            target, anchors, self.tneed, captab, order, bestw, ga.torders,
+            target, anchors, self.tneed, captab, order, ga.torders,
             ga.tparents, groots, ef, et, n, ga.wint, ga.cycpos, ga.base,
             self.memo_keys, memo_stamps, _next_epoch(), self.memo_used,
         )
@@ -304,75 +302,87 @@ def _check_budget(g: Graph, t: int, budget: Budget) -> None:
         )
 
 
-def _tree_rooted_scan(
-    g: Graph, r: int, t: int
+def _up(x: int) -> int:
+    """What a child of slack x adds to its parent's slack in the tree
+    oracle: half a surplus, or twice a deficit."""
+    return x >> 1 if x >= 0 else 2 * x
+
+
+def _tree_dp(
+    ga: _GraphArrays, target: np.ndarray, s0: int
 ) -> tuple[int, np.ndarray, int]:
-    """Exact rooted value on a tree by dynamic programming.
+    """Exact minimum size for any target on a tree, by dynamic programming
+    over the tree oracle's recursion (_kernels.tree_multi_feasible): rooted
+    at the first anchor r, slack(v) = c_v - D_v + the sum of _up(slack(u))
+    over v's children u, and c covers D iff slack(r) >= 0.
 
-    For a vertex v at depth d from r, any distribution confined to v's
-    subtree can make v's folded pile reach at most 2**d * t - 1 before the
-    whole distribution turns solvable, so per-vertex tables stay tiny. The
-    table h_v[a] holds the largest subtree pebble total whose fold at v is
-    at most a; children merge by a bounded knapsack over their send-up
-    amounts (send-up s consumes fold budget s and frees a child fold of
-    2s + 1). The answer is one more than the best root-unsolvable total.
-    Returns (value, witness of size value - 1, states examined).
+    Slack grows with c, so slack(v) only matters from lo[v], that of an
+    empty subtree, up to hi[v], the most that still allows slack(r) = -1.
+    h[v][s] is the largest subtree total with slack(v) = s: s + D_v plus the
+    best sum of h[u][s_u] - _up(s_u) over the children, a (max, +) knapsack
+    whose room, the sum of _up(s_u) above its least value, is at most
+    s - lo[v]. The value is 1 + h[r][-1], and the witness is read back from
+    the knapsack stages. The states, hi - lo + 1 per vertex and child, are
+    charged to the scan node budget before any table is built; s0, the
+    weight bound, is a refusal's lower bound.
+    Returns (value, witness of size value - 1, states).
     """
-    n = g.n
-    dist = g.distances
-    depth = [int(dist[r, v]) for v in range(n)]
-    order = sorted(range(n), key=lambda v: -depth[v])  # deepest first
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != r:
-            children[int(g.parents[r, v])].append(v)
-    cap = [(1 << depth[v]) * t - 1 for v in range(n)]
-    cap[r] = t - 1
-    h: dict[int, list[int]] = {}
-    stages: dict[int, list[list[int]]] = {}
-    states = 0
+    n = ga.n
+    dem = [int(x) for x in target]
+    r = int(np.flatnonzero(target)[0])
+    order = [int(v) for v in ga.torders[r]]  # deepest first
+    children = [np.flatnonzero(ga.tparents[r] == v).tolist() for v in range(n)]
+    lo, hi = [0] * n, [0] * n
     for v in order:
-        A = cap[v]
-        dp = [0] * (A + 1)
-        stage_list = [dp[:]]
-        for c in children[v]:
-            new = [0] * (A + 1)
-            for b in range(A + 1):
-                best = -1
-                for s in range(b + 1):
-                    # child fold budget 2s+1 sends up s
-                    val = dp[b - s] + (h[c][2 * s + 1] - s)
-                    if val > best:
-                        best = val
-                new[b] = best
-            dp = new
-            stage_list.append(dp[:])
-        states += (A + 1) * max(1, len(children[v]))
-        h[v] = [a + dp[a] for a in range(A + 1)]
-        stages[v] = stage_list
-
-    value = 1 + (t - 1) + stages[r][len(children[r])][t - 1]
-
+        lo[v] = sum(_up(lo[u]) for u in children[v]) - dem[v]
+    hi[r] = -1
+    for v in reversed(order):
+        for u in children[v]:
+            b = hi[v] - lo[v] + _up(lo[u])
+            hi[u] = 2 * b + 1 if b >= 0 else b >> 1
+    states = sum((hi[v] - lo[v] + 1) * max(1, len(children[v])) for v in range(n))
+    ga.check_clock(s0)
+    ga.scan_left -= states
+    if ga.scan_left < 0:
+        raise BudgetExceededError(
+            f"scan node budget exhausted by the tree DP's {states} states",
+            best_lower=s0,
+        )
+    h, stages, options = {}, {}, {}
+    for v in order:
+        dp = [0] * (hi[v] - lo[v] + 1)
+        stages[v] = [dp]
+        for u in children[v]:
+            # (room, value, slack) for each room the child can take, at the
+            # largest slack giving it, since h[u] grows with the slack; the
+            # rooms ascend and differ, so the j-th is at least j
+            best_at = {}
+            for su in range(lo[u], hi[u] + 1):
+                best_at[_up(su) - _up(lo[u])] = (h[u][su - lo[u]] - _up(su), su)
+            opts = options[u] = [(d, val, su) for d, (val, su) in best_at.items()]
+            dp = [
+                max(dp[b - d] + val for d, val, _ in opts[: b + 1] if d <= b)
+                for b in range(len(dp))
+            ]
+            stages[v].append(dp)
+        h[v] = [s + dem[v] + x for s, x in zip(range(lo[v], hi[v] + 1), dp)]
     witness = np.zeros(n, dtype=np.int64)
-
-    def rebuild(v: int, a: int) -> None:
-        stage_list = stages[v]
-        b = a
-        picked: list[int] = []
+    stack = [(r, -1)]
+    while stack:
+        v, s = stack.pop()
+        b = s - lo[v]
+        witness[v] = s + dem[v]
+        # children last to first, each at the least room that attains the
+        # stage's value; rooms ascend, so that comes before any room past b
         for i in range(len(children[v]) - 1, -1, -1):
-            c = children[v][i]
-            for s in range(b + 1):
-                if stage_list[i][b - s] + (h[c][2 * s + 1] - s) == stage_list[i + 1][b]:
-                    picked.append(s)
-                    b -= s
+            u = children[v][i]
+            for d, val, su in options[u]:
+                if stages[v][i][b - d] + val == stages[v][i + 1][b]:
                     break
-        picked.reverse()
-        witness[v] = a - sum(picked)
-        for c, s in zip(children[v], picked):
-            rebuild(c, 2 * s + 1)
-
-    rebuild(r, t - 1)
-    return value, witness, states
+            b -= d
+            witness[v] -= _up(su)
+            stack.append((u, su))
+    return 1 + int(h[r][-1]), witness, states
 
 
 def _guaranteed_witness(tc: _TargetContext) -> tuple[int, np.ndarray]:
@@ -404,13 +414,11 @@ def _min_size_for_target(
     """Smallest k such that every distribution of size k covers the target;
     also returns a maximal witness (size k - 1) and the enumeration count."""
     tc = _TargetContext(ga, target)
-    if ga.kind == 1 and tc.anchors.size == 1:
-        r = int(tc.anchors[0])
-        value, witness, states = _tree_rooted_scan(ga.g, r, int(target[r]))
-        if value > 1:
-            assert not tc.decide(witness), "tree DP witness must be unsolvable"
-        return value, witness, states
     s0, witness = _guaranteed_witness(tc)
+    if ga.kind == 1:
+        value, witness, states = _tree_dp(ga, target, s0)
+        assert not tc.decide(witness), "tree DP witness must be unsolvable"
+        return value, witness, states
     if s0 - 1 > 0:
         assert not tc.decide(witness), "weight-bound witness must be unsolvable"
     perms = _leader_perms(ga.g, target, tc.order)
@@ -423,7 +431,7 @@ def _min_size_for_target(
                 best_lower=s,
                 nodes=enumerated,
             )
-        cursor = K.scan_cursor(ga.n, tc.anchors.size, s)
+        cursor = K.scan_cursor(ga.n, s)
         code = K.PAUSED
         while code == K.PAUSED and ga.scan_left > 0:
             ga.check_clock(s, enumerated)

@@ -17,6 +17,7 @@ from pebbling.cli import (
     _emit_counterexamples,
     main,
 )
+from pebbling.catalogs import load_catalog
 from pebbling.graphs import make_family, parse_graph6, serialize_graph6
 
 
@@ -241,6 +242,16 @@ class TestVerify:
         assert code == EXIT_PASS
         rows = json.loads(out)["rows"]
         assert rows and all(row["n"] <= 3 for row in rows)
+
+    def test_target_tree_rows_honor_max_n(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "targets", "--format", "json",
+            "--max-n", "7", "--max-t", "1",
+        )
+        assert code == EXIT_PASS
+        graphs = {row["graph"] for row in json.loads(out)["rows"]}
+        trees = {serialize_graph6(g) for g in load_catalog("trees_up_to_8")}
+        assert len({g for g in graphs & trees if parse_graph6(g).n == 7}) == 11
 
     def test_targets_catalog_runs_its_catalog_rows(self, capsys, tmp_path):
         k3 = serialize_graph6(make_family("complete", 3))

@@ -182,6 +182,11 @@ class TestArbitraryTargetNumber:
             >= pebbling_number(g, 2, WIDE).value
         )
 
+    def test_spread_targets_on_a_tree_are_not_capped_by_max_pebbles(self):
+        # the tree DP answers every target on a tree; a scan would refuse
+        # at |D| = 192 > max_pebbles = 32
+        assert arbitrary_target_number(make_family("path", 8), 2).value == 256
+
     def test_star_9_scans_one_target_per_orbit(self):
         # the group has 9! elements and 4 orbits on targets of size 2
         stat = arbitrary_target_number(make_family("star", 9), 2, Budget(max_n=10))
@@ -274,6 +279,15 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="scan node budget"):
             pebbling_number(g, 1, Budget(scan_nodes=150))
         assert pebbling_number(g, 1, Budget(scan_nodes=208)).value == 6
+
+    def test_tree_dp_spends_scan_nodes(self):
+        # pi(P_12) = 2048 takes 8177 DP states over six root orbits, 4095
+        # of them at the first, an end vertex, whose weight bound is 2048
+        g = make_family("path", 12)
+        with pytest.raises(BudgetExceededError, match="scan node budget") as exc:
+            pebbling_number(g, 1, Budget(max_n=12, scan_nodes=1000))
+        assert exc.value.best_lower == 2048
+        assert pebbling_number(g, 1, Budget(max_n=12)).value == 2048
 
     def test_wall_clock_budget_is_checked_within_a_scan(self):
         # the scan at |D| = 48 on C_8 alone runs for seconds

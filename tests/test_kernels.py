@@ -24,6 +24,7 @@ from pebbling.exact import (
     _guaranteed_witness,
     _leader_perms,
     _TargetContext,
+    _tree_dp,
     compositions,
     rooted_pebbling_number,
 )
@@ -240,7 +241,7 @@ class TestDecider:
 
 def loop_context_tables(ga, target):
     """The context tables as first written, one interpreted loop each, kept
-    as the reference: tneed, captab, order, bestw, ef, et."""
+    as the reference: tneed, captab, order, ef, et."""
     n = ga.n
     anchors = np.nonzero(target)[0].astype(np.int64)
     tneed = np.array(
@@ -253,18 +254,12 @@ def loop_context_tables(ga, target):
     order = np.array(
         sorted(range(n), key=lambda v: (-int(mind[v]), v)), dtype=np.int64
     )
-    bestw = np.zeros((anchors.size, n), dtype=np.int64)
-    for ai, a in enumerate(anchors):
-        suf = 0
-        for p in range(n - 2, -1, -1):
-            suf = max(suf, int(ga.wint[order[p + 1], a]))
-            bestw[ai, p] = suf
     a0 = int(anchors[0])
     dir_edges = [(v, u) for v, u in ga.g.edges] + [(u, v) for v, u in ga.g.edges]
     dir_edges.sort(key=lambda vu: (int(ga.dist[vu[1], a0]), vu))
     ef = np.array([v for v, _ in dir_edges], dtype=np.int64)
     et = np.array([u for _, u in dir_edges], dtype=np.int64)
-    return tneed, captab, order, bestw, ef, et
+    return tneed, captab, order, ef, et
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -278,8 +273,8 @@ def test_context_tables_match_loop_reference(name):
             targets += [np.eye(1, g.n, r, dtype=np.int64)[0] * t for t in (1, 2)]
         for target in targets:
             record = _TargetContext(ga, target).record
-            # tneed, captab, order, bestw, then ef, et
-            got = record[2:6] + record[9:11]
+            # tneed, captab, order, then ef, et
+            got = record[2:5] + record[8:10]
             for field, want in zip(got, loop_context_tables(ga, target)):
                 assert field.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(field, want)
@@ -303,7 +298,7 @@ def test_paused_scan_resumes_where_it_stopped(family, n, t):
             ga = _GraphArrays(g, Budget())
             tc = _TargetContext(ga, target)
             perms = _leader_perms(g, target, tc.order)
-            cursor = K.scan_cursor(g.n, tc.anchors.size, s)
+            cursor = K.scan_cursor(g.n, s)
             code, spent = K.PAUSED, 0
             while code == K.PAUSED:
                 code, nodes = K.witness_scan(
@@ -337,7 +332,7 @@ def leader_cases(source, cycle_sizes=range(4, 8)):
 
 
 def whole_scan(ga, tc, s, perms):
-    cursor = K.scan_cursor(ga.n, tc.anchors.size, s)
+    cursor = K.scan_cursor(ga.n, s)
     code, _ = K.witness_scan(ga.kind, tc.record, cursor, 1 << 40, ga.dfs_box, perms)
     return code, PebbleDistribution(tuple(int(x) for x in cursor[1]))
 
@@ -425,7 +420,7 @@ class TestThresholdScan:
             s, code = _guaranteed_witness(tc)[0], K.FOUND
             while code == K.FOUND:
                 visits.clear()
-                cursor = K.scan_cursor(g.n, tc.anchors.size, s)
+                cursor = K.scan_cursor(g.n, s)
                 code, nodes = K.witness_scan(
                     ga.kind, tc.record, cursor, 1 << 40, ga.dfs_box, perms
                 )
@@ -444,6 +439,33 @@ class TestThresholdScan:
                     if p < g.n - 1:
                         assert not solvable(prefix), (g.edges, target, s, prefix)
                 s += 1
+
+
+class TestTreeDP:
+    """The tree DP, which answers every target on a tree, against the scan
+    that answered the spread ones before it."""
+
+    def test_dp_matches_the_scan(self):
+        """Every target orbit of every tree up to 6 vertices at t <= 2 and
+        up to 5 at t = 3: the DP's value is the first size, from the weight
+        bound up, at which the scan finds no witness, and its witness has
+        one pebble less and fails under the reference engine."""
+        for t, max_n in ((1, 6), (2, 6), (3, 5)):
+            for g in load_catalog("trees_up_to_8", max_n=max_n):
+                for orbit in composition_orbits(g, t):
+                    target = np.array(orbit[0], dtype=np.int64)
+                    ga = _GraphArrays(g, Budget())
+                    tc = _TargetContext(ga, target)
+                    perms = _leader_perms(g, target, tc.order)
+                    s = _guaranteed_witness(tc)[0]
+                    value, witness, _ = _tree_dp(ga, target, s)
+                    while whole_scan(ga, tc, s, perms)[0] == K.FOUND:
+                        s += 1
+                    assert value == s, (g.edges, target)
+                    witness = PebbleDistribution(tuple(int(x) for x in witness))
+                    assert witness.size == value - 1
+                    goal = PebbleDistribution(orbit[0])
+                    assert not is_reachable(g, witness, goal), (g.edges, witness)
 
 
 def test_pure_python_flag_selects_fallback():

@@ -4,9 +4,10 @@ Runs every `verify` suite and every `conjecture` at --max-n 4 --max-t 2,
 `verify --suite fracopt` at its defaults, and `pebble compute` for every
 --stat (at root 0 for pi_rooted) on a few small graphs, plus pi and pi_arb
 at t=3 on cycle:6 and cycle:5, pi_arb at t=2 on wheel:5 and hypercube:3,
-pi_star at t=2 on cycle:8 and hypercube:3 and at t=3 on path:8, and pi on
-star:6 and pi_arb on star:5 at t=2 (groups of 720 and 120), all with
---format json, and hashes each command's exit code and JSON minus its
+pi_star at t=2 on cycle:8 and hypercube:3 and at t=3 on path:8, pi on
+star:6 and pi_arb on star:5 at t=2 (groups of 720 and 120), and pi_arb on
+path:6 at t=3 with --max-pebbles 96 (a deep tree with spread targets), all
+with --format json, and hashes each command's exit code and JSON minus its
 `elapsed_ms` fields. Two checkouts that compute the same answers print the
 same lines:
 
@@ -47,7 +48,7 @@ def commands() -> list[list[str]]:
     out.append(["compute", "cycle:6", "--stat", "pi", "--t", "3"])
     out.append(["compute", "cycle:5", "--stat", "pi_arb", "--t", "3"])
     # multi-vertex targets on general graphs go through the DFS, where the
-    # context's move order, suffix weights and edge order matter
+    # context's move order and edge order matter
     out.append(["compute", "wheel:5", "--stat", "pi_arb", "--t", "2"])
     out.append(["compute", "hypercube:3", "--stat", "pi_arb", "--t", "2"])
     # the optimal number's enumeration past size 5, on a cycle and a cube
@@ -58,6 +59,11 @@ def commands() -> list[list[str]]:
     # large automorphism groups: vertex orbits, then target orbits
     out.append(["compute", "star:6", "--stat", "pi", "--t", "2"])
     out.append(["compute", "star:5", "--stat", "pi_arb", "--t", "2"])
+    # spread targets on a deep tree, for the tree DP; a scan would need
+    # room for the value, 96
+    out.append(
+        ["compute", "path:6", "--stat", "pi_arb", "--t", "3", "--max-pebbles", "96"]
+    )
     return out
 
 
