@@ -13,13 +13,20 @@ exact int64 arithmetic. All counts in play are small enough that nothing
 approaches overflow.
 
 Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
--1 budget refused; a scan that has spent the nodes it was given returns -2,
-paused, and resumes from its cursor when called again.
+-1 budget refused, -2 paused. A scan that has spent the nodes it was given
+pauses and resumes from its cursor when called again. A DFS decision that
+has spent its slice of nodes (the second entry of the caller's DFS box)
+pauses too, its frames kept in the caller's buffer; the decider and the
+scan pass that PAUSED up, and the next call with the same box resumes the
+decision where it stopped.
 
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
 (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
- n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used).
+ n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used, frames).
+frames is the DFS frame buffer of the graph, shared by every target of a
+call (layout in dfs_decide); it is empty on trees and cycles, whose
+decisions never reach the DFS.
 torders and tparents are the graph's n-row tree tables, shared by every
 target of a call: row r is the BFS tree rooted at r, as its vertices deepest
 first and the parent of each. The kernels pick rows by groots, the roots of
@@ -28,7 +35,9 @@ gives the graph itself and serves the tree oracle. memo_used counts the memo
 entries stored under this target's epoch, over every scan and decision, so
 the load guard in _memo_add sees them all.
 The scan-node budget and the DFS node box belong to the caller and are
-spent over a whole public call.
+spent over a whole public call. The box holds the DFS nodes left, the nodes
+left in the current slice, and the depth of a paused decision (-1 when no
+decision is paused).
 
 witness_scan also takes the automorphisms that keep its target, as rows of
 positions along order (exact._leader_perms; no rows scans everything). It
@@ -219,75 +228,140 @@ def dfs_decide(
     epoch,
     memo_used,
     node_box,
+    frames,
 ):
     """Exact reachability: can some move sequence from c0 reach a distribution
     containing target? Iterative DFS over the shrinking-count DAG with a
     failed-state memo and per-anchor weight pruning.
 
     The caller has already found that c0 neither contains the target nor
-    fails the weight bound. node_box[0] carries the remaining node budget,
-    shared by every scan and decision of one call.
+    fails the weight bound. node_box holds the nodes left, shared by every
+    scan and decision of one call, the nodes left in this slice, and the
+    depth of a PAUSED decision (-1 when none is). A decision that finds
+    the slice spent saves its depth and returns PAUSED; the next call
+    resumes it from its frames, whatever c0 it is given.
+
+    Frame d of the DFS is row d of frames (exact._GraphArrays.dfs_frames):
+    the counts in columns [0, n), the weight at each anchor in [n, 2n), the
+    deficit sum max(0, target - count) in 2n, the packed memo key in 2n + 1
+    and the edge cursor in 2n + 2. The last row holds base**v in column v.
+    A move v -> u changes two counts, so the child's deficit, weights
+    (by -2 wint[v, a] + wint[u, a]) and key (by -2 base**v + base**u) are
+    updated in O(anchors) and written into the next row; its counts are
+    copied there only on descent, after containment (deficit 0), the weight
+    prune and the memo probe. Every decision has at most max_pebbles
+    pebbles and a move spends one, so the frames never reach the last row.
+
+    The root's key is probed in the memo before any node is spent, as every
+    child's is: a state that an earlier decision of the same target proved
+    unsolvable answers NONE at once.
     """
     nedges = ef.shape[0]
-    total = np.int64(0)
-    for v in range(n):
-        total += c0[v]
-    depth_cap = int(total) + 2
-    stack = np.zeros((depth_cap, n), dtype=np.int64)
-    cursor = np.zeros(depth_cap, dtype=np.int64)
-    for v in range(n):
-        stack[0, v] = c0[v]
-    cursor[0] = 0
-    depth = 0
-    while depth >= 0:
-        m = cursor[depth]
-        if m == nedges:
-            # fully explored, target unreachable from here: memoize and pop
-            key = _pack(stack[depth], base, n)
-            if _memo_add(memo_keys, memo_stamps, epoch, key, memo_used) < 0:
-                return REFUSED
-            depth -= 1
-            continue
-        cursor[depth] += 1
-        v = ef[m]
-        if stack[depth, v] < 2:
-            continue
-        u = et[m]
-        node_box[0] -= 1
-        if node_box[0] < 0:
-            return REFUSED
-        # apply the move into the next frame
-        nd = depth + 1
+    na = anchors.shape[0]
+    pw = frames[frames.shape[0] - 1]
+    W, DEF, KEY, CUR = n, 2 * n, 2 * n + 1, 2 * n + 2
+    depth = node_box[2]
+    node_box[2] = -1
+    if depth < 0:
+        key = _pack(c0, base, n)
+        if _memo_has(memo_keys, memo_stamps, epoch, key):
+            return NONE
+        row = frames[0]
+        deficit = np.int64(0)
         for x in range(n):
-            stack[nd, x] = stack[depth, x]
-        stack[nd, v] -= 2
-        stack[nd, u] += 1
-        # containment
-        done = True
-        for x in range(n):
-            if stack[nd, x] < target[x]:
-                done = False
-                break
-        if done:
-            return FOUND
-        # weight pruning per anchor
-        pruned = False
-        for a in range(anchors.shape[0]):
+            row[x] = c0[x]
+            if c0[x] < target[x]:
+                deficit += target[x] - c0[x]
+        for a in range(na):
             av = anchors[a]
             w = np.int64(0)
             for x in range(n):
-                w += stack[nd, x] * wint[x, av]
+                w += c0[x] * wint[x, av]
+            row[W + a] = w
+        row[DEF] = deficit
+        row[KEY] = key
+        row[CUR] = 0
+        depth = 0
+    row = frames[depth]
+    nxt = frames[depth + 1]
+    # the cursor of the current frame, stored in it when the DFS leaves it
+    m = int(row[CUR])
+    # nodes spent, and how many this call may spend before it pauses or
+    # refuses; node_box is charged once, on the way out
+    spent = 0
+    room = min(int(node_box[0]), int(node_box[1]))
+    code = NONE
+    while True:
+        if m == nedges:
+            # fully explored, target unreachable from here: memoize and pop
+            if _memo_add(memo_keys, memo_stamps, epoch, row[KEY], memo_used) < 0:
+                code = REFUSED
+                break
+            if depth == 0:
+                break
+            depth -= 1
+            nxt = row
+            row = frames[depth]
+            m = int(row[CUR])
+            continue
+        v = ef[m]
+        cv = row[v]
+        if cv < 2:
+            m += 1
+            continue
+        if spent >= room:
+            if node_box[1] <= spent:
+                # the slice is spent: keep the frames and pause here
+                row[CUR] = m
+                node_box[2] = depth
+                code = PAUSED
+            else:
+                spent += 1
+                code = REFUSED
+            break
+        spent += 1
+        u = et[m]
+        m += 1
+        cu = row[u]
+        # the child's deficit: v loses two pebbles, u gains one
+        deficit = row[DEF]
+        gap = target[v] - cv + 2
+        if gap > 0:
+            deficit += gap if gap < 2 else 2
+        if cu < target[u]:
+            deficit -= 1
+        if deficit == 0:
+            code = FOUND
+            break
+        # weight pruning per anchor
+        pruned = False
+        for a in range(na):
+            av = anchors[a]
+            w = row[W + a] - 2 * wint[v, av] + wint[u, av]
             if w < tneed[a]:
                 pruned = True
                 break
+            nxt[W + a] = w
         if pruned:
             continue
-        key = _pack(stack[nd], base, n)
+        key = row[KEY] - 2 * pw[v] + pw[u]
         if _memo_has(memo_keys, memo_stamps, epoch, key):
             continue
-        cursor[nd] = 0
-        depth = nd
-    return NONE
+        # descend: the child's counts into the next frame
+        for x in range(n):
+            nxt[x] = row[x]
+        nxt[v] = cv - 2
+        nxt[u] = cu + 1
+        nxt[DEF] = deficit
+        nxt[KEY] = key
+        row[CUR] = m
+        depth += 1
+        row = nxt
+        nxt = frames[depth + 1]
+        m = 0
+    node_box[0] -= spent
+    node_box[1] -= spent
+    return code
 
 
 @_maybe_jit
@@ -296,12 +370,19 @@ def _decide_solvable(counts, kind, record, dfs_box):
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
     (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
-     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used) = record
+     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used,
+     frames) = record
     if kind == 1:
         r = groots[0]
         return tree_multi_feasible(torders[r], tparents[r], r, counts, target)
     if kind == 2:
         return cycle_feasible(cycpos, counts, target)
+    if dfs_box[2] >= 0:
+        # a PAUSED DFS decision resumes from its frames
+        return dfs_decide(
+            n, ef, et, target, anchors, wint, tneed, counts, base,
+            memo_keys, memo_stamps, epoch, memo_used, dfs_box, frames,
+        )
     # containment
     contained = True
     for v in range(n):
@@ -329,7 +410,7 @@ def _decide_solvable(counts, kind, record, dfs_box):
             return FOUND
     return dfs_decide(
         n, ef, et, target, anchors, wint, tneed, counts, base,
-        memo_keys, memo_stamps, epoch, memo_used, dfs_box,
+        memo_keys, memo_stamps, epoch, memo_used, dfs_box, frames,
     )
 
 
@@ -407,29 +488,40 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     level p, the counts, each level's remaining pebbles, choice and low, so
     a resumed call goes on as one long call would and searches no level
     twice. Threshold and leaf decisions draw on the caller's DFS node box
-    dfs_box.
+    dfs_box. A decision that pauses returns PAUSED from the scan, with the
+    cursor at its level and, for a threshold, low holding the count being
+    decided; the next call re-enters that decision before anything else,
+    without spending its scan node or its leader test again.
     """
     (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
-     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used) = record
+     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used,
+     frames) = record
     at, counts, rem_stack, choice, low = cursor
     nodes = np.int64(0)
 
     p = int(at[0])
     while p >= 0:
+        # a PAUSED decision is re-entered first, without spending its node
+        # or its leader test again
+        resuming = dfs_box[2] >= 0
         # the next step spends a node unless it only pops a finished level
-        if nodes >= scan_budget and (p == n - 1 or choice[p] > 0):
+        if not resuming and nodes >= scan_budget and (p == n - 1 or choice[p] > 0):
             at[0] = p
             return PAUSED, nodes
         v = order[p]
         if p == n - 1:
             counts[v] = rem_stack[p]
-            nodes += 1
-            if _leads(perms, counts, order, p):
+            if not resuming:
+                nodes += 1
+            if resuming or _leads(perms, counts, order, p):
                 code = _decide_solvable(counts, kind, record, dfs_box)
                 if code == NONE:
                     return FOUND, nodes
                 if code == REFUSED:
                     return REFUSED, nodes
+                if code == PAUSED:
+                    at[0] = p
+                    return PAUSED, nodes
             counts[v] = 0
             p -= 1
             continue
@@ -442,6 +534,11 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
                 code = _decide_solvable(counts, kind, record, dfs_box)
                 if code == REFUSED:
                     return REFUSED, nodes
+                if code == PAUSED:
+                    # resumed at the same count, the level still unsearched
+                    low[p] = x
+                    at[0] = p
+                    return PAUSED, nodes
                 if code == FOUND:
                     break
                 x += 1

@@ -56,7 +56,9 @@ class Budget:
     """Resource limits; exceeding any of them raises BudgetExceededError.
 
     scan_nodes, dfs_nodes and wall_secs are spent over one whole call, all
-    its targets and scan sizes together, not per target or per size. A scan
+    its targets and scan sizes together, not per target or per size.
+    wall_secs is read between scan slices, before each decision at a root,
+    and inside a DFS decision every DFS_SLICE_NODES nodes. A scan
     node is a choice the composition scan visits; the choices at or above a
     level's threshold (the least solvable count there) are never visited.
     max_pebbles caps the sizes that scans and the optimal number's
@@ -117,6 +119,11 @@ class PebblingStat:
 # at 12-15 us a node on cycles and 47-63 us on general graphs, the threshold
 # decisions included
 SLICE_NODES = 2048
+# DFS nodes between two clock checks when the call has a deadline: about
+# 10 ms of the pure-Python DFS. Without a deadline a decision never pauses.
+DFS_SLICE_NODES = 1024
+# the frames of a graph whose decisions never reach the DFS
+_NO_FRAMES = np.zeros((0, 0), dtype=np.int64)
 
 # One memo arena per size and one epoch counter per thread; epochs
 # invalidate stale entries in O(1). Epochs start at 1, so zeroed stamps mark
@@ -153,16 +160,21 @@ def _next_epoch() -> int:
 class _GraphArrays:
     """Per-call precomputation and budget: every context, scan and decision
     of one public call shares the graph tables, the deadline, the DFS node
-    box and the scan nodes left. The tree tables hold, for every root, the
-    graph's BFS tree (tparents) and its vertices deepest first (torders);
-    ef and et list every edge in both directions, from and to."""
+    box, the DFS frames and the scan nodes left. The DFS node box holds the
+    nodes left, the nodes left before the DFS pauses to read the clock, and
+    the depth of a paused decision (-1 for none). The tree tables hold, for
+    every root, the graph's BFS tree (tparents) and its vertices deepest
+    first (torders); ef and et list every edge in both directions, from and
+    to."""
 
     def __init__(self, g: Graph, budget: Budget):
         g.require_connected()
         self.g = g
         self.budget = budget
         self.deadline = budget.deadline(time.monotonic())
-        self.dfs_box = np.array([budget.dfs_nodes], dtype=np.int64)
+        dfs_slice = 1 << 62 if self.deadline is None else DFS_SLICE_NODES
+        self.dfs_box = np.array([budget.dfs_nodes, dfs_slice, -1], dtype=np.int64)
+        self.frames = None
         self.scan_left = budget.scan_nodes
         self.n = g.n
         self.dist = g.distances.astype(np.int64)
@@ -200,13 +212,28 @@ class _GraphArrays:
                 "pebbles exceeds 62 bits"
             )
 
+    def dfs_frames(self) -> np.ndarray:
+        """The DFS frame buffer every decision of the call shares, built on
+        first use: max_pebbles + 2 rows of 2n + 3 entries, one frame a row
+        (layout in _kernels.dfs_decide), with base**v in the last row."""
+        if self.frames is None:
+            n, rows = self.n, self.budget.max_pebbles + 2
+            self.frames = np.zeros((rows, 2 * n + 3), dtype=np.int64)
+            self.frames[-1, :n] = [self.base**v for v in range(n)]
+        return self.frames
+
     def check_clock(
         self, best_lower: int | None = None, nodes: int | None = None
     ) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        """Refuses once the deadline has passed; otherwise grants the DFS a
+        new slice of nodes before its next pause."""
+        if self.deadline is None:
+            return
+        if time.monotonic() > self.deadline:
             raise BudgetExceededError(
                 "wall-clock budget exhausted", best_lower=best_lower, nodes=nodes
             )
+        self.dfs_box[1] = DFS_SLICE_NODES
 
 
 class _TargetContext:
@@ -234,10 +261,11 @@ class _TargetContext:
         groots = anchors[: 1 if ga.kind == 1 else 3]
         self.memo_keys, memo_stamps = _memo_buffers(ga.budget.memo_bits)
         self.memo_used = np.zeros(1, dtype=np.int64)
+        frames = ga.dfs_frames() if ga.kind == 0 else _NO_FRAMES
         self.record = (
             target, anchors, self.tneed, captab, order, ga.torders,
             ga.tparents, groots, ef, et, n, ga.wint, ga.cycpos, ga.base,
-            self.memo_keys, memo_stamps, _next_epoch(), self.memo_used,
+            self.memo_keys, memo_stamps, _next_epoch(), self.memo_used, frames,
         )
 
     def refusal(self) -> str:
@@ -246,11 +274,21 @@ class _TargetContext:
             return "DFS memo full; raise memo_bits"
         return "DFS node budget exhausted"
 
-    def decide(self, counts: np.ndarray) -> bool:
-        """Exact: does counts cover the target? (Kernel-backed.)"""
-        code = K._decide_solvable(
-            counts.astype(np.int64), self.ga.kind, self.record, self.ga.dfs_box
-        )
+    def decide(
+        self,
+        counts: np.ndarray,
+        best_lower: int | None = None,
+        nodes: int | None = None,
+    ) -> bool:
+        """Exact: does counts cover the target? (Kernel-backed.) A DFS
+        decision that pauses is resumed after each clock read, which
+        refuses with best_lower and nodes once the deadline has passed."""
+        ga = self.ga
+        counts = counts.astype(np.int64)
+        code = K._decide_solvable(counts, ga.kind, self.record, ga.dfs_box)
+        while code == K.PAUSED:
+            ga.check_clock(best_lower, nodes)
+            code = K._decide_solvable(counts, ga.kind, self.record, ga.dfs_box)
         if code == K.REFUSED:
             raise BudgetExceededError(self.refusal())
         return code == K.FOUND
@@ -284,7 +322,7 @@ def _solvable_at_every_root(
         tc = contexts[r]
         if tc is None:
             tc = contexts[r] = _TargetContext(ga, _point(ga.n, r, t))
-        if not tc.decide(arr):
+        if not tc.decide(arr, best_lower, nodes):
             return False
     return True
 
@@ -433,7 +471,8 @@ def _min_size_for_target(
             )
         cursor = K.scan_cursor(ga.n, s)
         code = K.PAUSED
-        while code == K.PAUSED and ga.scan_left > 0:
+        # a scan paused inside a decision resumes it even with no nodes left
+        while code == K.PAUSED and (ga.scan_left > 0 or ga.dfs_box[2] >= 0):
             ga.check_clock(s, enumerated)
             give = min(ga.scan_left, SLICE_NODES)
             code, nodes = K.witness_scan(

@@ -265,11 +265,11 @@ class TestBudgets:
             pebbling_number(g, 1, Budget(scan_nodes=3))
 
     def test_dfs_node_budget_covers_the_whole_call(self):
-        # pi_2(W_6) = 10 spends 4708 DFS nodes over nine scans, but no
-        # single scan spends 4402 of them (the largest spends 4015).
+        # pi_2(W_6) = 10 spends 3694 DFS nodes over nine scans, but no
+        # single scan spends 3400 of them (the largest spends 3136).
         g = make_family("wheel", 6)
         with pytest.raises(BudgetExceededError, match="DFS node budget"):
-            pebbling_number(g, 2, Budget(dfs_nodes=4402))
+            pebbling_number(g, 2, Budget(dfs_nodes=3400))
         assert pebbling_number(g, 2).value == 10
 
     def test_scan_node_budget_covers_the_whole_call(self):
@@ -296,6 +296,17 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
             pebbling_number(g, 3, Budget(wall_secs=0.5, max_pebbles=80))
         assert time.monotonic() - started < 2.0
+
+    def test_wall_clock_budget_stops_one_dfs_decision(self):
+        # the decision at a rim root runs one DFS of about 60 ms without a
+        # deadline; the DFS pauses every few milliseconds to read the clock
+        g = make_family("wheel", 7)
+        D = PebbleDistribution((3, 0, 0, 3, 3, 1, 3, 1))
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
+            is_solvable_distribution(g, D, 4, Budget(max_t=4, wall_secs=0.005))
+        assert time.monotonic() - started < 0.5
+        assert not is_solvable_distribution(g, D, 4, Budget(max_t=4))
 
     def test_decision_reads_the_clock(self):
         g = make_family("hypercube", 3)

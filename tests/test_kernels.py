@@ -5,6 +5,7 @@ they make must agree with the move-sequence search, which is trusted because
 its witnesses replay.
 """
 
+import functools
 import itertools
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pebbling._kernels as K
+from pebbling import exact
 from pebbling.catalogs import catalog_names, load_catalog
 from pebbling.engine import PebbleDistribution, is_reachable
 from pebbling.exact import (
@@ -26,6 +28,8 @@ from pebbling.exact import (
     _TargetContext,
     _tree_dp,
     compositions,
+    is_solvable_distribution,
+    pebbling_number,
     rooted_pebbling_number,
 )
 from pebbling.graphs import (
@@ -237,6 +241,121 @@ class TestDecider:
             g, PebbleDistribution(tuple(c)), PebbleDistribution.point(n, r, t)
         )
         assert tc.decide(np.array(c, dtype=np.int64)) == want
+
+
+@functools.cache
+def general_graphs():
+    """The graphs of connected_up_to_6 that are neither trees nor cycles,
+    whose decisions the DFS backs."""
+    return [
+        g for g in load_catalog("connected_up_to_6")
+        if _GraphArrays(g, Budget()).kind == 0
+    ]
+
+
+def dfs_nodes_of(ga, decide):
+    """The DFS nodes a call of decide() spends, with its answer."""
+    left = int(ga.dfs_box[0])
+    answer = decide()
+    return answer, left - int(ga.dfs_box[0])
+
+
+class TestIncrementalDFS:
+    """The DFS's frames carry weights, deficit and memo key from node to
+    node; its answers must match the reference engine's."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_decisions_match_engine(self, data):
+        graphs = general_graphs()
+        g = graphs[data.draw(st.integers(min_value=0, max_value=len(graphs) - 1))]
+        vertex = st.integers(min_value=0, max_value=g.n - 1)
+        cells = data.draw(st.lists(vertex, min_size=1, max_size=3))
+        target = np.bincount(cells, minlength=g.n).astype(np.int64)
+        c = np.array(data.draw(counts_on(g.n, max_total=9)), dtype=np.int64)
+        ga = _GraphArrays(g, Budget())
+        tc = _TargetContext(ga, target)
+        want = is_reachable(
+            g,
+            PebbleDistribution(tuple(int(x) for x in c)),
+            PebbleDistribution(tuple(int(x) for x in target)),
+        )
+        assert tc.decide(c) == want, (g.edges, c, target)
+        if not want:
+            # the root's memo probe answers a state proven unsolvable at once
+            assert dfs_nodes_of(ga, lambda: tc.decide(c)) == (False, 0)
+
+    def test_second_decision_of_a_failed_state_spends_no_node(self):
+        g = make_family("wheel", 5)
+        ga = _GraphArrays(g, Budget())
+        tc = _TargetContext(ga, np.array([0, 2, 0, 0, 0, 0], dtype=np.int64))
+        cases = 0
+        for comp in compositions(7, g.n):
+            c = np.array(comp, dtype=np.int64)
+            answer, spent = dfs_nodes_of(ga, lambda: tc.decide(c))
+            if not answer and spent:
+                cases += 1
+                assert dfs_nodes_of(ga, lambda: tc.decide(c)) == (False, 0)
+        assert cases > 0
+
+    @pytest.mark.parametrize(
+        "family,n,target",
+        [("wheel", 5, (0, 2, 0, 0, 0, 0)), ("wheel", 5, (0, 1, 0, 1, 0, 0)),
+         ("hypercube", 3, (1, 0, 0, 0, 0, 0, 0, 0))],
+    )
+    def test_dfs_slices_resume_the_same_search(self, family, n, target):
+        """Scans whose DFS pauses after every node, or every three nodes
+        in scans of seven, find the same witnesses, or the same absence of
+        one, after the same scan and DFS nodes as uninterrupted scans."""
+        g = make_family(family, n)
+        target = np.array(target, dtype=np.int64)
+        value = scan_value(g, target)
+        pauses = 0
+        for s in range(1, value + 1):
+            runs = []
+            for give, dfs_slice in ((1 << 30, 1 << 62), (1 << 30, 1), (7, 3)):
+                ga = _GraphArrays(g, Budget())
+                tc = _TargetContext(ga, target)
+                perms = _leader_perms(g, target, tc.order)
+                cursor = K.scan_cursor(g.n, s)
+                code, spent = K.PAUSED, 0
+                while code == K.PAUSED:
+                    ga.dfs_box[1] = dfs_slice
+                    code, nodes = K.witness_scan(
+                        ga.kind, tc.record, cursor, give, ga.dfs_box, perms
+                    )
+                    pauses += int(ga.dfs_box[2] >= 0)
+                    spent += int(nodes)
+                witness = tuple(cursor[1]) if code == K.FOUND else None
+                dfs = Budget().dfs_nodes - int(ga.dfs_box[0])
+                runs.append((code, spent, witness, dfs))
+            assert runs[1] == runs[0] and runs[2] == runs[0], (s, runs)
+        assert pauses > 0
+
+    def test_paused_decisions_give_the_same_stats(self, monkeypatch):
+        """Under a deadline the DFS pauses every DFS_SLICE_NODES nodes; at
+        one node a slice, every count and answer stays as it was."""
+        g = make_family("wheel", 6)
+        D = PebbleDistribution((3, 0, 0, 3, 3, 1, 0))
+        plain = pebbling_number(g, 2)
+        solvable = is_solvable_distribution(g, D, 3)
+        monkeypatch.setattr(exact, "DFS_SLICE_NODES", 1)
+        sliced = pebbling_number(g, 2, Budget(wall_secs=600))
+        assert (sliced.value, sliced.witness, sliced.enumerated_count) == (
+            plain.value, plain.witness, plain.enumerated_count
+        )
+        assert is_solvable_distribution(g, D, 3, Budget(wall_secs=600)) == solvable
+
+
+def scan_value(g, target):
+    """The least size whose scan finds no witness for target."""
+    ga = _GraphArrays(g, Budget())
+    tc = _TargetContext(ga, target)
+    perms = _leader_perms(g, target, tc.order)
+    s = _guaranteed_witness(tc)[0]
+    while whole_scan(ga, tc, s, perms)[0] == K.FOUND:
+        s += 1
+    return s
 
 
 def loop_context_tables(ga, target):

@@ -6,10 +6,11 @@ Runs every `verify` suite and every `conjecture` at --max-n 4 --max-t 2,
 at t=3 on cycle:6 and cycle:5, pi_arb at t=2 on wheel:5 and hypercube:3,
 pi_star at t=2 on cycle:8 and hypercube:3 and at t=3 on path:8, pi on
 star:6 and pi_arb on star:5 at t=2 (groups of 720 and 120), and pi_arb on
-path:6 at t=3 with --max-pebbles 96 (a deep tree with spread targets), all
-with --format json, and hashes each command's exit code and JSON minus its
-`elapsed_ms` fields. Two checkouts that compute the same answers print the
-same lines:
+path:6 at t=3 with --max-pebbles 96 (a deep tree with spread targets), and
+two runs whose decisions mostly reach the DFS: pi at t=2 on wheel:6 and
+`verify --suite diam2` at --max-n 5 --max-t 2. All run with --format json;
+it hashes each command's exit code and JSON minus its `elapsed_ms` fields.
+Two checkouts that compute the same answers print the same lines:
 
     python3 tools/output_digest.py > before.txt   # in one checkout
     python3 tools/output_digest.py | diff before.txt -   # in the other
@@ -64,6 +65,10 @@ def commands() -> list[list[str]]:
     out.append(
         ["compute", "path:6", "--stat", "pi_arb", "--t", "3", "--max-pebbles", "96"]
     )
+    # general graphs whose decisions mostly reach the DFS: a wheel at t=2,
+    # and the diameter-2 chain on every graph up to five vertices
+    out.append(["compute", "wheel:6", "--stat", "pi", "--t", "2"])
+    out.append(["verify", "--suite", "diam2", "--max-n", "5", "--max-t", "2"])
     return out
 
 
