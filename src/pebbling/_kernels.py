@@ -9,8 +9,9 @@ records the backend in effect with every run.
 
 Weights are kept integral throughout: with maxd the graph diameter,
 W[v, a] = 2**(maxd - dist(v, a)), so "weight(c, a) >= need" comparisons are
-exact int64 arithmetic. All counts in play are small enough that nothing
-approaches overflow.
+exact int64 arithmetic. Counts stay below 2**62, so their sums and the
+cycle oracle's doubled backward flows fit in int64: exact refuses larger
+distributions before they reach a kernel.
 
 Return codes shared by the deciders and scans: 1 solvable/found, 0 not,
 -1 budget refused, -2 paused. A scan that has spent the nodes it was given
@@ -23,7 +24,7 @@ decision where it stopped.
 The entry points take one target's state as a single tuple, built once per
 target by exact._TargetContext:
 (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
- n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used, frames).
+ n, wint, cycpos, memo_keys, memo_stamps, epoch, memo_used, frames).
 frames is the DFS frame buffer of the graph, shared by every target of a
 call (layout in dfs_decide); it is empty on trees and cycles, whose
 decisions never reach the DFS.
@@ -92,22 +93,21 @@ def tree_multi_feasible(torder, tparent, troot, c, target):
 
     Per vertex (deepest first) the signed surplus toward the parent is
     slack // 2 when nonnegative; a negative slack means the parent must push
-    that many pebbles down at double cost. Exact: flow cancellation lets each
-    tree edge carry flow in one direction only.
+    that many pebbles down at double cost, so it adds 2 * slack. Exact: flow
+    cancellation lets each tree edge carry flow in one direction only.
     """
     n = c.shape[0]
-    gain = np.zeros(n, dtype=np.int64)
-    need2 = np.zeros(n, dtype=np.int64)
+    up = np.zeros(n, dtype=np.int64)
     for i in range(n):
         v = torder[i]
-        slack = c[v] + gain[v] - need2[v] - target[v]
+        slack = c[v] + up[v] - target[v]
         if v == troot:
             return 1 if slack >= 0 else 0
         p = tparent[v]
         if slack >= 0:
-            gain[p] += slack // 2
+            up[p] += slack // 2
         else:
-            need2[p] += -2 * slack
+            up[p] += 2 * slack
     return 0
 
 
@@ -166,14 +166,6 @@ def cycle_feasible(cycpos, c, target):
 
 
 @_maybe_jit
-def _pack(c, base, n):
-    key = np.int64(0)
-    for v in range(n - 1, -1, -1):
-        key = key * base + c[v]
-    return key
-
-
-@_maybe_jit
 def _memo_has(keys, stamps, epoch, key):
     """1 if key is stored under epoch, else 0. A slot whose stamp is not
     epoch is empty for this epoch: the stamps start at 0 and the epochs at
@@ -222,13 +214,12 @@ def dfs_decide(
     wint,
     tneed,
     c0,
-    base,
+    frames,
     memo_keys,
     memo_stamps,
     epoch,
     memo_used,
     node_box,
-    frames,
 ):
     """Exact reachability: can some move sequence from c0 reach a distribution
     containing target? Iterative DFS over the shrinking-count DAG with a
@@ -243,14 +234,16 @@ def dfs_decide(
 
     Frame d of the DFS is row d of frames (exact._GraphArrays.dfs_frames):
     the counts in columns [0, n), the weight at each anchor in [n, 2n), the
-    deficit sum max(0, target - count) in 2n, the packed memo key in 2n + 1
-    and the edge cursor in 2n + 2. The last row holds base**v in column v.
-    A move v -> u changes two counts, so the child's deficit, weights
-    (by -2 wint[v, a] + wint[u, a]) and key (by -2 base**v + base**u) are
-    updated in O(anchors) and written into the next row; its counts are
-    copied there only on descent, after containment (deficit 0), the weight
-    prune and the memo probe. Every decision has at most max_pebbles
-    pebbles and a move spends one, so the frames never reach the last row.
+    deficit sum max(0, target - count) in 2n, the memo key in 2n + 1 and
+    the edge cursor in 2n + 2. The last row holds base**v in column v, with
+    base = max_pebbles + 2, and a state's key is its counts packed in that
+    base: the sum of count[v] * base**v. A move v -> u changes two counts,
+    so the child's deficit, weights (by -2 wint[v, a] + wint[u, a]) and key
+    (by -2 base**v + base**u) are updated in O(anchors) and written into
+    the next row; its counts are copied there only on descent, after
+    containment (deficit 0), the weight prune and the memo probe. Every
+    decision has at most max_pebbles pebbles and a move spends one, so the
+    frames never reach the last row.
 
     The root's key is probed in the memo before any node is spent, as every
     child's is: a state that an earlier decision of the same target proved
@@ -263,15 +256,16 @@ def dfs_decide(
     depth = node_box[2]
     node_box[2] = -1
     if depth < 0:
-        key = _pack(c0, base, n)
-        if _memo_has(memo_keys, memo_stamps, epoch, key):
-            return NONE
         row = frames[0]
         deficit = np.int64(0)
+        key = np.int64(0)
         for x in range(n):
             row[x] = c0[x]
+            key += c0[x] * pw[x]
             if c0[x] < target[x]:
                 deficit += target[x] - c0[x]
+        if _memo_has(memo_keys, memo_stamps, epoch, key):
+            return NONE
         for a in range(na):
             av = anchors[a]
             w = np.int64(0)
@@ -370,7 +364,7 @@ def _decide_solvable(counts, kind, record, dfs_box):
     trees and cycles by their closed-form oracles, general graphs by cheap
     accepts (cap / spanning-tree folds) backed by the DFS decider."""
     (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
-     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used,
+     n, wint, cycpos, memo_keys, memo_stamps, epoch, memo_used,
      frames) = record
     if kind == 1:
         r = groots[0]
@@ -380,8 +374,8 @@ def _decide_solvable(counts, kind, record, dfs_box):
     if dfs_box[2] >= 0:
         # a PAUSED DFS decision resumes from its frames
         return dfs_decide(
-            n, ef, et, target, anchors, wint, tneed, counts, base,
-            memo_keys, memo_stamps, epoch, memo_used, dfs_box, frames,
+            n, ef, et, target, anchors, wint, tneed, counts, frames,
+            memo_keys, memo_stamps, epoch, memo_used, dfs_box,
         )
     # containment
     contained = True
@@ -409,8 +403,8 @@ def _decide_solvable(counts, kind, record, dfs_box):
         if tree_multi_feasible(torders[r], tparents[r], r, counts, target):
             return FOUND
     return dfs_decide(
-        n, ef, et, target, anchors, wint, tneed, counts, base,
-        memo_keys, memo_stamps, epoch, memo_used, dfs_box, frames,
+        n, ef, et, target, anchors, wint, tneed, counts, frames,
+        memo_keys, memo_stamps, epoch, memo_used, dfs_box,
     )
 
 
@@ -494,7 +488,7 @@ def witness_scan(kind, record, cursor, scan_budget, dfs_box, perms):
     without spending its scan node or its leader test again.
     """
     (target, anchors, tneed, captab, order, torders, tparents, groots, ef, et,
-     n, wint, cycpos, base, memo_keys, memo_stamps, epoch, memo_used,
+     n, wint, cycpos, memo_keys, memo_stamps, epoch, memo_used,
      frames) = record
     at, counts, rem_stack, choice, low = cursor
     nodes = np.int64(0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from pebbling.graphs import Graph
 
 __all__ = [
     "PebbleDistribution",
-    "FractionalDistribution",
     "MoveSequence",
     "apply_move",
     "is_reachable",
@@ -45,13 +44,6 @@ class PebbleDistribution:
         counts[v] = k
         return cls(tuple(counts))
 
-    @classmethod
-    def from_map(cls, n: int, placed: Mapping[int, int]) -> "PebbleDistribution":
-        counts = [0] * n
-        for v, k in placed.items():
-            counts[v] = k
-        return cls(tuple(counts))
-
     @property
     def size(self) -> int:
         return sum(self.counts)
@@ -73,54 +65,16 @@ class PebbleDistribution:
 
 
 @dataclass(frozen=True)
-class FractionalDistribution:
-    """Nonnegative exact rational pebble amounts, one per vertex."""
-
-    amounts: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        amounts = tuple(Fraction(a) for a in self.amounts)
-        if any(a < 0 for a in amounts):
-            raise ValueError("negative fractional amount")
-        object.__setattr__(self, "amounts", amounts)
-
-    @classmethod
-    def uniform(cls, n: int, amount: Fraction | int | str) -> "FractionalDistribution":
-        return cls((Fraction(amount),) * n)
-
-    @property
-    def size(self) -> Fraction:
-        return sum(self.amounts, Fraction(0))
-
-    def __getitem__(self, v: int) -> Fraction:
-        return self.amounts[v]
-
-    def __len__(self) -> int:
-        return len(self.amounts)
-
-    def to_json(self) -> list[str]:
-        return [f"{a.numerator}/{a.denominator}" for a in self.amounts]
-
-
-@dataclass(frozen=True)
 class MoveSequence:
-    """Ordered pebbling moves as (from, to) pairs; fractional sequences carry
-    a positive rational size per move."""
+    """Ordered pebbling moves as (from, to) pairs, each spending two pebbles
+    at from to place one at to."""
 
     moves: tuple[tuple[int, int], ...]
-    sizes: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(
             self, "moves", tuple((int(a), int(b)) for a, b in self.moves)
         )
-        if self.sizes is not None:
-            sizes = tuple(Fraction(s) for s in self.sizes)
-            if len(sizes) != len(self.moves):
-                raise ValueError("one size per move required")
-            if any(s <= 0 for s in sizes):
-                raise ValueError("fractional move sizes must be positive")
-            object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -132,21 +86,6 @@ class MoveSequence:
         for v, u in self.moves:
             cur = apply_move(g, cur, v, u)
         return cur
-
-    def replay_fractional(
-        self, g: Graph, start: FractionalDistribution
-    ) -> FractionalDistribution:
-        if self.sizes is None:
-            raise ValueError("integer move sequence has no fractional sizes")
-        amounts = list(start.amounts)
-        for (v, u), alpha in zip(self.moves, self.sizes):
-            if u not in g.neighbors(v):
-                raise ValueError(f"move {v}->{u} uses a non-edge")
-            amounts[v] -= 2 * alpha
-            if amounts[v] < 0:
-                raise ValueError(f"fractional move {v}->{u} overdraws vertex {v}")
-            amounts[u] += alpha
-        return FractionalDistribution(tuple(amounts))
 
     def to_json(self) -> list[list[int]]:
         return [[v, u] for v, u in self.moves]
@@ -166,9 +105,7 @@ def apply_move(
     return PebbleDistribution(tuple(counts))
 
 
-def weight(
-    D: PebbleDistribution | FractionalDistribution, r: int, g: Graph
-) -> Fraction:
+def weight(D: PebbleDistribution, r: int, g: Graph) -> Fraction:
     """Exact weighted pebble mass toward r: sum of D(v) / 2**dist(v, r).
 
     Never increases under any pebbling move, which makes `weight >= need` a
@@ -176,9 +113,8 @@ def weight(
     """
     g.require_connected()
     dist = g.distances
-    vals = D.counts if isinstance(D, PebbleDistribution) else D.amounts
     return sum(
-        (Fraction(vals[v], 1 << int(dist[v, r])) for v in range(g.n)),
+        (Fraction(D[v], 1 << int(dist[v, r])) for v in range(g.n)),
         Fraction(0),
     )
 

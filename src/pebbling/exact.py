@@ -248,8 +248,7 @@ class _TargetContext:
         anchors = np.nonzero(target)[0].astype(np.int64)
         if anchors.size == 0:
             raise ValueError("target must place at least one pebble")
-        self.anchors = anchors
-        self.tneed = target @ ga.wint[:, anchors]
+        tneed = target @ ga.wint[:, anchors]
         captab = (target << ga.dist).sum(axis=1)
         self.order = order = np.argsort(
             -ga.dist[:, anchors].min(axis=1), kind="stable"
@@ -263,9 +262,9 @@ class _TargetContext:
         self.memo_used = np.zeros(1, dtype=np.int64)
         frames = ga.dfs_frames() if ga.kind == 0 else _NO_FRAMES
         self.record = (
-            target, anchors, self.tneed, captab, order, ga.torders,
-            ga.tparents, groots, ef, et, n, ga.wint, ga.cycpos, ga.base,
-            self.memo_keys, memo_stamps, _next_epoch(), self.memo_used, frames,
+            target, anchors, tneed, captab, order, ga.torders,
+            ga.tparents, groots, ef, et, n, ga.wint, ga.cycpos, self.memo_keys,
+            memo_stamps, _next_epoch(), self.memo_used, frames,
         )
 
     def refusal(self) -> str:
@@ -423,17 +422,21 @@ def _tree_dp(
     return 1 + int(h[r][-1]), witness, states
 
 
-def _guaranteed_witness(tc: _TargetContext) -> tuple[int, np.ndarray]:
-    """Size s0 and a distribution of size s0 - 1 that provably fails the
-    target: piling everything on a farthest vertex stays under the needed
-    weight at some anchor."""
-    ga = tc.ga
-    wa = ga.wint[:, tc.anchors]
-    sizes = -(-tc.tneed // wa.min(axis=0))  # ceil
-    ai = int(np.argmax(sizes))
-    witness = np.zeros(ga.n, dtype=np.int64)
-    witness[np.argmin(wa[:, ai])] = sizes[ai] - 1
-    return int(sizes[ai]), witness
+def _weight_bound(ga: _GraphArrays, target: np.ndarray) -> tuple[int, int]:
+    """The weight bound s0 and a vertex v such that s0 - 1 pebbles piled on
+    v provably fail the target: per anchor, the least pile on a farthest
+    vertex that weighs enough there; s0 is the largest of these and v its
+    vertex. In Python integers, since the needed weight t * 2**maxd passes
+    int64 on deep trees."""
+    wint, tgt = ga.wint.tolist(), target.tolist()
+    s0, far = 0, 0
+    for a in np.flatnonzero(target).tolist():
+        col = [row[a] for row in wint]
+        least = min(col)
+        size = -(-sum(x * w for x, w in zip(tgt, col)) // least)  # ceil
+        if size > s0:
+            s0, far = size, col.index(least)
+    return s0, far
 
 
 def _leader_perms(g: Graph, target: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -452,12 +455,15 @@ def _min_size_for_target(
     """Smallest k such that every distribution of size k covers the target;
     also returns a maximal witness (size k - 1) and the enumeration count."""
     tc = _TargetContext(ga, target)
-    s0, witness = _guaranteed_witness(tc)
+    s0, far = _weight_bound(ga, target)
     if ga.kind == 1:
         value, witness, states = _tree_dp(ga, target, s0)
         assert not tc.decide(witness), "tree DP witness must be unsolvable"
         return value, witness, states
-    if s0 - 1 > 0:
+    witness = np.zeros(ga.n, dtype=np.int64)
+    # past max_pebbles the scan refuses at once, and the pile may not fit
+    if 0 < s0 - 1 <= ga.budget.max_pebbles:
+        witness[far] = s0 - 1
         assert not tc.decide(witness), "weight-bound witness must be unsolvable"
     perms = _leader_perms(ga.g, target, tc.order)
     enumerated = 0
@@ -575,7 +581,9 @@ def is_solvable_distribution(
     The weight bound and the single pile are tested at every root first,
     and only the roots they leave open get a context and a kernel decision.
     The budget's deadline is read once before the array tests and again
-    before each open root's decision."""
+    before each open root's decision. A distribution of 2**62 pebbles or
+    more is refused: the kernels hold counts, and the cycle oracle twice
+    the size, in int64."""
     _check_budget(g, t, budget)
     if len(D) != g.n:
         raise ValueError("distribution length does not match graph order")
@@ -583,6 +591,10 @@ def is_solvable_distribution(
     # count a search from D can hold
     wide = replace(budget, max_pebbles=max(budget.max_pebbles, D.size))
     ga = _GraphArrays(g, wide)
+    if D.size >= 1 << 62:
+        raise BudgetExceededError(
+            f"distribution size {D.size} overflows the kernels' 64-bit counts"
+        )
     return _solvable_at_every_root(ga, D.as_array(), D.size, t, [None] * g.n)
 
 

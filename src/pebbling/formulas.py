@@ -10,7 +10,7 @@ rationals throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from pebbling.graphs import Graph, diameter
@@ -44,48 +44,19 @@ class PathPartition:
         if list(self.lengths) != sorted(self.lengths, reverse=True):
             raise ValueError("path lengths must be nonincreasing")
 
-    @property
-    def k(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(self.lengths)
-
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One named bound with its parameters, optionally compared to an exact
-    value; slack = bound - exact is nonnegative whenever the bound applies."""
+    """One named bound, optionally compared to an exact value; slack =
+    bound - exact is nonnegative whenever the bound applies."""
 
     bound: str
-    params: dict = field(compare=False)
     value: int | Fraction
     exact: int | None = None
     slack: int | Fraction | None = None
 
     def with_exact(self, exact: int) -> "BoundReport":
-        return BoundReport(
-            bound=self.bound,
-            params=self.params,
-            value=self.value,
-            exact=exact,
-            slack=self.value - exact,
-        )
-
-    def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
-
-        return {
-            "bound": self.bound,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "value": enc(self.value),
-            "exact": self.exact,
-            "slack": enc(self.slack),
-        }
+        return replace(self, exact=exact, slack=self.value - exact)
 
 
 def _require_tree(g: Graph) -> None:
@@ -201,23 +172,9 @@ def diam2_bounds(
         raise ValueError("t must be >= 1")
     reports = []
     if pi_exact is not None:
-        reports.append(
-            BoundReport(
-                bound="pi_plus_4t_minus_4",
-                params={"n": n, "t": t, "pi": pi_exact},
-                value=pi_exact + 4 * t - 4,
-            )
-        )
-    reports.append(
-        BoundReport(
-            bound="n_plus_4t_minus_3", params={"n": n, "t": t}, value=n + 4 * t - 3
-        )
-    )
-    reports.append(
-        BoundReport(
-            bound="n_plus_7t_minus_6", params={"n": n, "t": t}, value=n + 7 * t - 6
-        )
-    )
+        reports.append(BoundReport("pi_plus_4t_minus_4", pi_exact + 4 * t - 4))
+    reports.append(BoundReport("n_plus_4t_minus_3", n + 4 * t - 3))
+    reports.append(BoundReport("n_plus_7t_minus_6", n + 7 * t - 6))
     return tuple(reports)
 
 

@@ -1,9 +1,8 @@
 """Graph primitives: immutable graphs, BFS metrics, named families, graph6 I/O.
 
-Vertices are dense integers 0..n-1; optional display names ride along in a
-side table. Distances and BFS-tree parents from every root are computed
-eagerly on construction, in one BFS per root (every pebbling routine hits
-them), and exposed read-only.
+Vertices are dense integers 0..n-1. Distances and BFS-tree parents from
+every root are computed eagerly on construction, in one BFS per root (every
+pebbling routine hits them), and exposed read-only.
 
 Symmetry comes from one backtracking search over profile-filtered candidate
 images: `automorphisms` lists the group for reference, and
@@ -26,7 +25,6 @@ __all__ = [
     "GraphError",
     "DisconnectedGraphError",
     "Graph6Error",
-    "distance_matrix",
     "diameter",
     "automorphisms",
     "compositions",
@@ -64,19 +62,14 @@ class Graph:
 
     Disconnected graphs are representable (graph6 round-trips need them);
     metric queries and everything downstream that assumes connectivity go
-    through :func:`distance_matrix` / :meth:`require_connected`, which reject
-    disconnected input naming an unreachable pair. Distances and the BFS
-    tree at every root are computed once, on construction.
+    through :meth:`require_connected`, which rejects disconnected input
+    naming an unreachable pair. Distances and the BFS tree at every root are
+    computed once, on construction.
     """
 
-    __slots__ = ("n", "_edges", "_neighbors", "_dist", "_parents", "_names")
+    __slots__ = ("n", "_edges", "_neighbors", "_dist", "_parents")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        names: Sequence[str] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError(f"need at least one vertex, got n={n}")
         seen: set[tuple[int, int]] = set()
@@ -93,12 +86,6 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
-        if names is not None:
-            if len(names) != n:
-                raise GraphError(f"got {len(names)} names for {n} vertices")
-            self._names = tuple(str(x) for x in names)
-        else:
-            self._names = None
         self._dist, self._parents = self._all_pairs_bfs()
         self._dist.setflags(write=False)
         self._parents.setflags(write=False)
@@ -128,18 +115,11 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
 
-    @property
-    def names(self) -> tuple[str, ...] | None:
-        return self._names
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbors[u]
 
     @property
     def distances(self) -> np.ndarray:
@@ -168,13 +148,6 @@ class Graph:
         if pair is not None:
             raise DisconnectedGraphError(*pair)
 
-    @property
-    def diameter(self) -> int:
-        return diameter(self)
-
-    def name_of(self, v: int) -> str:
-        return self._names[v] if self._names is not None else str(v)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -187,12 +160,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self._edges)})"
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    """BFS-exact all-pairs distances; rejects disconnected input."""
-    g.require_connected()
-    return g.distances
 
 
 def diameter(g: Graph) -> int:
@@ -389,8 +356,7 @@ def make_family(kind: str, *params) -> Graph:
         edges = [
             (v, v ^ (1 << b)) for v in range(n) for b in range(k) if v < v ^ (1 << b)
         ]
-        names = [format(v, f"0{k}b") for v in range(n)]
-        return Graph(n, edges, names=names)
+        return Graph(n, edges)
     if kind == "tree":
         (edge_list,) = params
         edges = [(int(u), int(v)) for u, v in edge_list]

@@ -46,17 +46,18 @@ __all__ = [
 class LinearProgram:
     """Minimize objective . x subject to rows[i] . x >= rhs[i], x >= 0.
 
-    All coefficients are integers. The first dist_vars variables are the
+    All coefficients are integers. The first graph.n variables are the
     per-vertex placement counts; the rest are flows named p_{root}_{from}_{to}.
+    integral says whether every variable is an integer (solve_ip) or all are
+    continuous (solve_lp).
     """
 
     var_names: tuple[str, ...]
     objective: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
-    integral: tuple[bool, ...]
+    integral: bool
     t: int
-    dist_vars: int
     graph: Graph | None = None
 
     def check(self, x: tuple[Fraction, ...]) -> bool:
@@ -121,9 +122,8 @@ def build_opt_model(g: Graph, t: int, integral: bool) -> LinearProgram:
         objective=tuple(1 if k < n else 0 for k in range(nv)),
         rows=tuple(rows),
         rhs=tuple(rhs),
-        integral=tuple(integral for _ in range(nv)),
+        integral=integral,
         t=t,
-        dist_vars=n,
         graph=g,
     )
 
@@ -295,7 +295,7 @@ def _solve_rows(
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact optimum of the continuous relaxation."""
-    if any(lp.integral):
+    if lp.integral:
         raise ValueError("solve_lp expects a fully relaxed model")
     status, value, x = _solve_rows(
         lp.rows, lp.rhs, lp.objective, len(lp.var_names)
@@ -326,9 +326,7 @@ def _flows_from_moves(lp: LinearProgram, g: Graph, D: PebbleDistribution):
 
 
 def solve_ip(
-    lp: LinearProgram,
-    node_budget: int = 1_000_000,
-    budget: Budget | None = None,
+    lp: LinearProgram, budget: Budget = Budget(scan_nodes=1_000_000)
 ) -> LpSolution:
     """Exact integer optimum: the enumeration's optimal pebbling number.
 
@@ -337,23 +335,21 @@ def solve_ip(
     reported assignment is checked against every row of the model. The
     model fixes n and t, so the budget's max_n and max_t are raised to them,
     and max_pebbles to t * n, which the all-vertices placement shows is
-    enough. At most node_budget compositions are tried. A refusal raises
-    BudgetExceededError with the enumeration's lower bound and t * n as the
-    upper bound.
+    enough. Each composition tried spends one of the budget's scan_nodes,
+    1,000,000 by default. A refusal raises BudgetExceededError with the
+    enumeration's lower bound and t * n as the upper bound.
     """
-    if not all(lp.integral):
+    if not lp.integral:
         raise ValueError("solve_ip expects an integral model")
     g = lp.graph
     if g is None:
         raise ValueError("model carries no graph; build it with build_opt_model")
     upper = lp.t * g.n
-    budget = budget if budget is not None else Budget()
     budget = replace(
         budget,
         max_n=max(budget.max_n, g.n),
         max_t=max(budget.max_t, lp.t),
         max_pebbles=max(budget.max_pebbles, upper),
-        scan_nodes=min(budget.scan_nodes, node_budget),
     )
     try:
         stat = optimal_pebbling_number(g, lp.t, budget)
@@ -444,11 +440,9 @@ def export_lp(lp: LinearProgram, path) -> Path:
     lines.append("Bounds")
     for name in lp.var_names:
         lines.append(f" {name} >= 0")
-    if any(lp.integral):
+    if lp.integral:
         lines.append("General")
-        for name, flag in zip(lp.var_names, lp.integral):
-            if flag:
-                lines.append(f" {name}")
+        lines.extend(f" {name}" for name in lp.var_names)
     lines.append("End")
     out.write_text("\n".join(lines) + "\n")
     return out

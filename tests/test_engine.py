@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebbling.engine import (
-    FractionalDistribution,
     MoveSequence,
     PebbleDistribution,
     apply_move,
@@ -48,10 +47,6 @@ class TestDistributions:
         assert D.counts == (0, 0, 3, 0)
         assert D.size == 3
 
-    def test_from_map(self):
-        D = PebbleDistribution.from_map(3, {0: 2, 2: 1})
-        assert D.counts == (2, 0, 1)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             PebbleDistribution((1, -1))
@@ -64,11 +59,6 @@ class TestDistributions:
     def test_json_roundtrip(self):
         D = PebbleDistribution((0, 3, 1))
         assert D.to_json() == [0, 3, 1]
-
-    def test_fractional_uniform(self):
-        F = FractionalDistribution.uniform(3, "4/9")
-        assert F.size == Fraction(4, 3)
-        assert F.to_json() == ["4/9", "4/9", "4/9"]
 
 
 class TestMoves:
@@ -103,14 +93,6 @@ class TestMoves:
         g = make_family("path", 3)
         with pytest.raises(ValueError, match="not adjacent"):
             MoveSequence(((0, 2),)).replay(g, PebbleDistribution((2, 0, 0)))
-
-    def test_fractional_replay(self):
-        g = make_family("complete", 2)
-        seq = MoveSequence(((0, 1),), sizes=(Fraction(1, 2),))
-        final = seq.replay_fractional(
-            g, FractionalDistribution((Fraction(1), Fraction(0)))
-        )
-        assert final.amounts == (Fraction(0), Fraction(1, 2))
 
 
 class TestWeight:

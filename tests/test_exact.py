@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,27 @@ class TestBudgets:
         D = PebbleDistribution((1 << 62,) + (0,) * 63)
         with pytest.raises(BudgetExceededError, match="diameter 63"):
             is_solvable_distribution(g, D, 1, Budget(max_n=64))
+
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_decision_past_int64_counts_is_refused(self, family):
+        # the cycle oracle doubles backward flows, so twice the size must
+        # fit in int64; a tree or cycle has no packing check to refuse it
+        D = PebbleDistribution((10**20, 0, 0, 0, 0))
+        with pytest.raises(BudgetExceededError, match=f"size {10**20}"):
+            is_solvable_distribution(make_family(family, 5), D, 1)
+        D = PebbleDistribution((1 << 62, 0, 0, 0, 0))
+        with pytest.raises(BudgetExceededError, match=f"size {1 << 62}"):
+            is_solvable_distribution(make_family(family, 5), D, 1)
+
+    @pytest.mark.parametrize("t,bound", [(2, 2**63), (3, 3 * 2**62)])
+    def test_deep_tree_refusal_carries_the_exact_weight_bound(self, t, bound):
+        # t * 2**62 pebbles are needed at an end of P_63, past int64 from
+        # t = 2; the tree DP's states then overrun the scan node budget
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="tree DP") as exc:
+                pebbling_number(make_family("path", 63), t, Budget(max_n=63))
+        assert exc.value.best_lower == bound
 
     def test_decision_respects_max_n_and_max_t(self):
         g = make_family("path", 9)

@@ -16,7 +16,6 @@ from pebbling.graphs import (
     composition_orbits,
     compositions,
     diameter,
-    distance_matrix,
     family_from_string,
     graph_from_json,
     graph_to_json,
@@ -64,23 +63,23 @@ class TestConstruction:
 
 class TestDistances:
     def test_complete_graph_all_ones(self):
-        d = distance_matrix(make_family("complete", 3))
+        d = make_family("complete", 3).distances
         assert d[0, 0] == 0
         off = d[~np.eye(3, dtype=bool)]
         assert (off == 1).all()
 
     def test_path_endpoints(self):
-        d = distance_matrix(make_family("path", 3))
+        d = make_family("path", 3).distances
         assert d[0, 2] == 2
 
     def test_cube_antipodal(self):
         g = make_family("hypercube", 3)
-        assert distance_matrix(g)[0, 7] == 3
+        assert g.distances[0, 7] == 3
 
     def test_disconnected_rejected_with_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError, match="0 and 2"):
-            distance_matrix(g)
+            g.require_connected()
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
 
@@ -273,7 +272,6 @@ class TestFamilies:
     def test_hypercube_counts(self):
         g = make_family("hypercube", 3)
         assert g.n == 8 and len(g.edges) == 12 and diameter(g) == 3
-        assert g.name_of(0) == "000" and g.name_of(7) == "111"
 
     def test_wheel_counts(self):
         g = make_family("wheel", 4)

@@ -23,10 +23,10 @@ from pebbling.engine import PebbleDistribution, is_reachable
 from pebbling.exact import (
     Budget,
     _GraphArrays,
-    _guaranteed_witness,
     _leader_perms,
     _TargetContext,
     _tree_dp,
+    _weight_bound,
     compositions,
     is_solvable_distribution,
     pebbling_number,
@@ -198,11 +198,14 @@ class TestCycleKernel:
 
 class TestStatePacking:
     def test_distinct_states_pack_distinct(self):
-        base = 34
+        # the DFS keys a state by its counts dotted with the power row
+        # base**v, base = max_pebbles + 2 = 34
+        ga = _GraphArrays(make_family("wheel", 5), Budget())
+        pw = ga.dfs_frames()[-1, : ga.n]
+        assert pw.tolist() == [34**v for v in range(6)]
         seen = {}
         for c in itertools.product(range(4), repeat=6):
-            arr = np.array(c, dtype=np.int64)
-            key = K._pack(arr, base, 6)
+            key = int(np.array(c, dtype=np.int64) @ pw)
             assert key not in seen
             seen[key] = c
 
@@ -210,8 +213,7 @@ class TestStatePacking:
         keys = np.zeros(1 << 8, dtype=np.int64)
         stamps = np.zeros(1 << 8, dtype=np.int64)
         used = np.zeros(1, dtype=np.int64)
-        c = np.array([3, 0, 1], dtype=np.int64)
-        key = K._pack(c, 34, 3)
+        key = 3 + 1 * 34**2  # the counts (3, 0, 1) packed in base 34
         assert not K._memo_has(keys, stamps, 1, key)
         K._memo_add(keys, stamps, 1, key, used)
         assert K._memo_has(keys, stamps, 1, key)
@@ -352,7 +354,7 @@ def scan_value(g, target):
     ga = _GraphArrays(g, Budget())
     tc = _TargetContext(ga, target)
     perms = _leader_perms(g, target, tc.order)
-    s = _guaranteed_witness(tc)[0]
+    s = _weight_bound(ga, target)[0]
     while whole_scan(ga, tc, s, perms)[0] == K.FOUND:
         s += 1
     return s
@@ -469,7 +471,7 @@ class TestLeaderScan:
             perms = _leader_perms(g, target, tc.order)
             none = np.zeros((0, g.n), dtype=np.int64)
             goal = PebbleDistribution(tuple(int(x) for x in target))
-            s, code = _guaranteed_witness(tc)[0], K.FOUND
+            s, code = _weight_bound(ga, target)[0], K.FOUND
             while code == K.FOUND:
                 code, witness = whole_scan(ga, tc, s, perms)
                 want, _ = whole_scan(ga, tc, s, none)
@@ -536,7 +538,7 @@ class TestThresholdScan:
                 assert code != K.REFUSED
                 return code == K.FOUND
 
-            s, code = _guaranteed_witness(tc)[0], K.FOUND
+            s, code = _weight_bound(ga, target)[0], K.FOUND
             while code == K.FOUND:
                 visits.clear()
                 cursor = K.scan_cursor(g.n, s)
@@ -576,7 +578,7 @@ class TestTreeDP:
                     ga = _GraphArrays(g, Budget())
                     tc = _TargetContext(ga, target)
                     perms = _leader_perms(g, target, tc.order)
-                    s = _guaranteed_witness(tc)[0]
+                    s = _weight_bound(ga, target)[0]
                     value, witness, _ = _tree_dp(ga, target, s)
                     while whole_scan(ga, tc, s, perms)[0] == K.FOUND:
                         s += 1
